@@ -22,7 +22,7 @@ import numpy as np
 from .divergences import kl, pearson_vajda, renyi_tsallis, infinite_order, tv_hellinger
 from .edgeworth import CumulantVector, expansion_constants, fit_leading_constant, q_polynomial
 from .errors import LabError
-from .grids import GridConfig, gaussian_grid, normalized_sum_density
+from .grids import GridConfig, gaussian_grid, normalized_sum_density, sum_chain
 from .hermite import normal_moments
 from .models import MODEL_DOCS, ModelSpec, make_model
 from .reports import FAILS, HOLDS, INCONCLUSIVE
@@ -126,8 +126,8 @@ def _cmd_dist(args) -> int:
     return 0
 
 
-def _distance_value(model, n, cfg, distance, alpha):
-    p = normalized_sum_density(model, n, cfg)
+def _distance_value(model, n, cfg, distance, alpha, chain):
+    p = normalized_sum_density(model, n, cfg, chain)
     q = gaussian_grid(p)
     if distance == "kl":
         return kl(p, q), 0.0
@@ -142,12 +142,16 @@ def _distance_value(model, n, cfg, distance, alpha):
 
 def run_experiment(cfg: ExperimentConfig) -> list:
     """One row per n: value, tail_bound, fitted constant, predicted
-    constant, relative gap.  Returns the rows; writes cfg.output if set."""
+    constant, relative gap.  Returns the rows; writes cfg.output if set.
+
+    One convolution chain serves every n; the pool maps the per-n
+    products, resample and distance."""
     model = make_model(cfg.model)
+    chain = sum_chain(model, cfg.n_values[-1], cfg.grid)
     workers = int(os.environ.get("RENYI_LAB_THREADS", "0")) or min(4, len(cfg.n_values))
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         results = list(pool.map(
-            lambda n: _distance_value(model, n, cfg.grid, cfg.distance, cfg.alpha),
+            lambda n: _distance_value(model, n, cfg.grid, cfg.distance, cfg.alpha, chain),
             cfg.n_values))
     values = [v for v, _ in results]
     gam = model.cumulants or (0.0, 1.0)

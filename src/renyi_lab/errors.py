@@ -13,6 +13,11 @@ class AliasingError(LabError):
     """Density has not decayed at the grid boundary; widen the grid."""
 
 
+class ChainTooLongError(LabError):
+    """A convolution chain would exceed the array-length cap; refused
+    before any convolution runs."""
+
+
 class TailDominanceError(LabError):
     """Integrand is still significant at the grid boundary."""
 

@@ -7,10 +7,15 @@ exactly symmetric about zero.  All integrals are midpoint-rule sums,
 which for smooth decaying integrands on a uniform grid are spectrally
 accurate.
 
-The density of the normalized sum Z_n = (X_1 + ... + X_n)/sqrt(n) is
-computed by repeated-squaring self-convolution in the unscaled domain
-(scipy.signal.fftconvolve on zero-padded expanding arrays) followed by a
-single cubic resampling onto the requested grid.
+The density of the normalized sum Z_n = (X_1 + ... + X_n)/sqrt(n) comes
+from a `SumChain`: the binary powers base^(2^j) of the trimmed base
+density, each the self-convolution of the one before (real FFTs of
+zero-padded expanding arrays, one forward transform per squaring).  p_n
+multiplies the powers of n's set bits in ascending order and is then
+resampled onto the requested grid by a cubic spline fitted on the chain
+nodes around the target window.  One chain serves every n of a sweep,
+and a chain longer than CHAIN_MAX_POINTS is refused before any
+convolution runs.
 """
 
 from __future__ import annotations
@@ -22,10 +27,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.interpolate import CubicSpline
-from scipy.signal import fftconvolve
 
-from .errors import AliasingError, GridTooNarrowError, TailDominanceError
+from .errors import (AliasingError, ChainTooLongError, GridTooNarrowError,
+                     TailDominanceError)
 from .reports import FAILS, HOLDS, CheckReport
 
 MASS_TOL = 1e-8
@@ -34,6 +40,12 @@ _TRIM_FLOOR = 1e-280
 _ENTROPY_FLOOR = 1e-300
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# longest array a convolution chain may produce (2^25 doubles = 256 MiB)
+CHAIN_MAX_POINTS = 1 << 25
+# chain nodes kept on each side of the resample window; 64 reproduces the
+# spline through every node to the last bit, 16 does not
+_SPLINE_MARGIN = 64
 
 
 def _phi(x):
@@ -154,14 +166,30 @@ def gaussian_grid(like: GridDensity, mean: float = 0.0, var: float = 1.0) -> Gri
     return GridDensity(like.origin, like.step, v / (like.step * v.sum()))
 
 
+def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real arrays by real FFTs.
+
+    Same transform length and arithmetic as scipy.signal.fftconvolve; a
+    square (b is a) transforms once.
+    """
+    size = len(a) + len(b) - 1
+    nfft = next_fast_len(size, real=True)
+    fa = rfft(a, nfft)
+    fa *= fa if b is a else rfft(b, nfft)
+    return irfft(fa, nfft)[:size]
+
+
 def convolve(p: GridDensity, q: GridDensity) -> GridDensity:
     """Density of the sum of independent variables with densities p, q."""
     if abs(p.step - q.step) > 1e-12 * p.step:
         raise ValueError("grids must share the same step")
-    vals = np.maximum(fftconvolve(p.values, q.values), 0.0) * p.step
+    vals = _fftconvolve(p.values, q.values)
+    np.maximum(vals, 0.0, out=vals)
+    vals *= p.step
     mass = p.step * vals.sum()
+    vals /= mass
     x0 = (p.origin + 0.5 * p.step) + (q.origin + 0.5 * q.step)
-    return GridDensity(x0 - 0.5 * p.step, p.step, vals / mass,
+    return GridDensity(x0 - 0.5 * p.step, p.step, vals,
                        meta={"mass_drift": mass - 1.0})
 
 
@@ -177,10 +205,44 @@ def _trimmed(p: GridDensity) -> GridDensity:
     return GridDensity(p.origin + lo * p.step, p.step, v[lo:hi], meta=dict(p.meta))
 
 
-def normalized_sum_density(model: AnalyticModel, n: int,
-                           grid_cfg: GridConfig | None = None) -> GridDensity:
-    """Density p_n of Z_n = (X_1 + ... + X_n)/sqrt(n) on the target grid."""
-    if n < 1:
+@dataclass(frozen=True)
+class SumChain:
+    """Binary convolution powers of one model's base density on one grid.
+
+    `powers[j]` is the trimmed base convolved with itself 2^j times; the
+    chain gives p_n for every n below 2^len(powers).
+    """
+    model: str
+    grid: GridConfig
+    base: GridDensity      # p_1, untrimmed
+    powers: tuple
+
+    def density(self, n: int) -> GridDensity:
+        """p_n on the chain's grid."""
+        if n == 1:
+            return self.base
+        if not 1 < n < 1 << len(self.powers):
+            raise ValueError(f"n = {n} is beyond this chain")
+        bits = [j for j in range(n.bit_length()) if n >> j & 1]
+        drifts = [p.meta["mass_drift"] for p in self.powers[1:bits[-1] + 1]]
+        acc = self.powers[bits[0]]
+        for j in bits[1:]:
+            acc = convolve(acc, self.powers[j])
+            drifts.append(acc.meta["mass_drift"])
+        p = _resample_sum(acc, n, self.grid)
+        p.meta.update(model=self.model, n=n, chain_max_len=acc.n,
+                      conv_count=len(drifts), conv_mass_drifts=tuple(drifts))
+        return p
+
+
+def sum_chain(model: AnalyticModel, n_max: int,
+              grid_cfg: GridConfig | None = None) -> SumChain:
+    """Square the base density up to the top bit of n_max.
+
+    Raises ChainTooLongError before any convolution when p_n for n_max,
+    the longest array of the chain, would exceed CHAIN_MAX_POINTS.
+    """
+    if n_max < 1:
         raise ValueError("n must be at least 1")
     cfg = grid_cfg or GridConfig()
     base = discretize(model, cfg.half_width, cfg.points)
@@ -188,25 +250,39 @@ def normalized_sum_density(model: AnalyticModel, n: int,
         raise AliasingError(
             f"density of {model.name!r} not decayed at |x| = {cfg.half_width}; "
             f"try half_width >= {1.5 * cfg.half_width:g}")
-    if n == 1:
-        return base
     work = _trimmed(base)
-    acc = None
-    m = n
-    while m:
-        if m & 1:
-            acc = work if acc is None else convolve(acc, work)
-        m >>= 1
-        if m:
-            work = convolve(work, work)
-    # rescale x -> x*sqrt(n) by cubic resampling onto the requested grid
+    base.meta.update(n=1, chain_max_len=base.n, conv_count=0, conv_mass_drifts=())
+    longest = n_max * (work.n - 1) + 1
+    if n_max > 1 and longest > CHAIN_MAX_POINTS:
+        raise ChainTooLongError(
+            f"p_n for n = {n_max} needs a convolution array of {longest} points "
+            f"(cap {CHAIN_MAX_POINTS}); use a smaller n or a coarser grid")
+    powers = [work]
+    for _ in range(n_max.bit_length() - 1):
+        powers.append(convolve(powers[-1], powers[-1]))
+    return SumChain(model.name, cfg, base, tuple(powers))
+
+
+def _resample_sum(acc: GridDensity, n: int, cfg: GridConfig) -> GridDensity:
+    """Rescale x -> x*sqrt(n) by cubic resampling onto the requested grid.
+
+    The spline is fitted only on the nodes spanning the target arguments
+    plus _SPLINE_MARGIN on each side.
+    """
     root_n = math.sqrt(n)
-    xs = acc.x
-    spline = CubicSpline(xs, acc.values)
     step = 2.0 * cfg.half_width / cfg.points
     y = -cfg.half_width + step * (np.arange(cfg.points) + 0.5)
     arg = y * root_n
-    vals = np.where((arg >= xs[0]) & (arg <= xs[-1]), spline(arg), 0.0)
+    x_first = acc.origin + acc.step * 0.5
+    x_last = acc.origin + acc.step * ((acc.n - 1) + 0.5)
+    inside = (arg >= x_first) & (arg <= x_last)
+    vals = np.zeros_like(arg)
+    if inside.any():
+        a = arg[inside]
+        lo = max(0, int((a[0] - x_first) / acc.step) - _SPLINE_MARGIN)
+        hi = min(acc.n, int((a[-1] - x_first) / acc.step) + 2 + _SPLINE_MARGIN)
+        xs = acc.origin + acc.step * (np.arange(lo, hi) + 0.5)
+        vals[inside] = CubicSpline(xs, acc.values[lo:hi])(a)
     vals = np.maximum(vals, 0.0) * root_n
     # values below the FFT noise floor of the convolution chain are
     # meaningless; keeping them poisons ratio integrands in the far tail
@@ -216,7 +292,23 @@ def normalized_sum_density(model: AnalyticModel, n: int,
         raise AliasingError(
             f"p_n mass {mass:.8g} on the target window; widen half_width")
     return GridDensity(-cfg.half_width, step, vals / mass,
-                       meta={"model": model.name, "n": n, "mass_drift": mass - 1.0})
+                       meta={"mass_drift": mass - 1.0})
+
+
+def normalized_sum_density(model: AnalyticModel, n: int,
+                           grid_cfg: GridConfig | None = None,
+                           chain: SumChain | None = None) -> GridDensity:
+    """Density p_n of Z_n = (X_1 + ... + X_n)/sqrt(n) on the target grid.
+
+    `chain`, built by `sum_chain` for this model and grid, lets a sweep
+    over n share one set of powers; without it a chain for n alone is
+    built.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if chain is None:
+        chain = sum_chain(model, n, grid_cfg)
+    return chain.density(n)
 
 
 def entropy(p: GridDensity) -> float:
@@ -290,7 +382,7 @@ def gaussian_smooth(p: GridDensity, t: float) -> GridDensity:
     mk = int(math.ceil(min(40.0 * s2, 30.0) / step)) + 1
     yk = step * (np.arange(-mk, mk) + 0.5)
     ker = np.exp(-0.5 * (yk / s2) ** 2) / (s2 * math.sqrt(2 * math.pi))
-    conv = np.maximum(fftconvolve(g1, ker), 0.0) * step
+    conv = np.maximum(_fftconvolve(g1, ker), 0.0) * step
     x0 = (y1[0]) + (yk[0])  # first sample of the convolution
     xs = x0 + step * np.arange(len(conv))
     out_spline = CubicSpline(xs, conv)

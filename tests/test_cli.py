@@ -74,6 +74,14 @@ def test_rate_csv_and_determinism(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_rate_refuses_oversized_chain(capsys):
+    code, out, err = run(capsys, "rate", "--model", SKEWED, "--distance", "kl",
+                         "--n", "16,4096")
+    assert code == 1
+    assert out == ""
+    assert "n = 4096" in err and "cap" in err
+
+
 def test_rate_bad_n_exits_3(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rate", "--model", "uniform", "--n", "8,x"])
@@ -162,6 +170,11 @@ def test_unknown_model_exits_1(capsys):
     code, _, err = run(capsys, "dist", "--model", "cauchy")
     assert code == 1
     assert "error" in err
+
+
+def test_cli_import_skips_scipy_signal():
+    code = "import sys, renyi_lab.cli; sys.exit('scipy.signal' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_console_entry_point():

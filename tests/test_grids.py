@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
+from scipy.signal import fftconvolve
 
-from renyi_lab import (AliasingError, GridConfig, GridTooNarrowError,
+from renyi_lab import (AliasingError, ChainTooLongError, ExperimentConfig,
+                       GridConfig, GridDensity, GridTooNarrowError, ModelSpec,
                        TailDominanceError, convolve, discretize, entropy,
                        entropy_power, gaussian_grid, gaussian_smooth,
                        grid_from_binary, grid_from_csv, grid_to_binary,
-                       grid_to_csv, laplace_eval, make_model, moment_summary,
-                       normalized_sum_density, pointwise_density_bound_check,
-                       wasserstein2)
-from conftest import model_of, pn_of
+                       grid_to_csv, kl, laplace_eval, make_model,
+                       moment_summary, normalized_sum_density,
+                       pointwise_density_bound_check, run_experiment,
+                       sum_chain, wasserstein2)
+from renyi_lab import grids
+from conftest import SKEWED, model_of, pn_of
 
 SQRT3 = math.sqrt(3.0)
 
@@ -63,6 +68,90 @@ def test_normalized_sum_variance():
         m = moment_summary(p)
         assert abs(m.mean) < 1e-9
         assert abs(m.variance - 1.0) < 1e-6
+
+
+def _reference_convolve(p, q):
+    vals = np.maximum(fftconvolve(p.values, q.values), 0.0) * p.step
+    x0 = (p.origin + 0.5 * p.step) + (q.origin + 0.5 * q.step)
+    return GridDensity(x0 - 0.5 * p.step, p.step, vals / (p.step * vals.sum()))
+
+
+def _reference_sum_density(model, n, cfg=GridConfig()):
+    """p_n by the per-n path: repeated squaring with fftconvolve, then a
+    cubic spline through every node of the chain."""
+    work = grids._trimmed(discretize(model, cfg.half_width, cfg.points))
+    acc = None
+    m = n
+    while m:
+        if m & 1:
+            acc = work if acc is None else _reference_convolve(acc, work)
+        m >>= 1
+        if m:
+            work = _reference_convolve(work, work)
+    root_n = math.sqrt(n)
+    xs = acc.x
+    step = 2.0 * cfg.half_width / cfg.points
+    arg = root_n * (-cfg.half_width + step * (np.arange(cfg.points) + 0.5))
+    vals = np.where((arg >= xs[0]) & (arg <= xs[-1]),
+                    CubicSpline(xs, acc.values)(arg), 0.0)
+    vals = np.maximum(vals, 0.0) * root_n
+    vals[vals < 1e-13 * vals.max()] = 0.0
+    return vals / (step * vals.sum())
+
+
+@pytest.mark.parametrize("spec", ["uniform", SKEWED,
+                                  {"kind": "power_density", "params": {"d": 1}}],
+                         ids=["uniform", "skewed", "power_density"])
+def test_sum_density_bitwise_reference(spec):
+    model = model_of(spec)
+    # at n = 33 power_density keeps mass at the window edge, where a spline
+    # margin of 16 nodes already changes the last bits
+    for n in (2, 3, 5, 8, 12, 33, 64):
+        assert np.array_equal(pn_of(spec, n).values,
+                              _reference_sum_density(model, n)), n
+
+
+def test_shared_chain_matches_single_n(skewed_model, capsys):
+    ns = (6, 12, 20)
+    chain = sum_chain(skewed_model, ns[-1])
+    rows = run_experiment(ExperimentConfig(ModelSpec(**SKEWED), "kl", ns))
+    capsys.readouterr()
+    for n, row in zip(ns, rows):
+        p = normalized_sum_density(skewed_model, n)
+        assert np.array_equal(chain.density(n).values, p.values)
+        assert row[1] == kl(p, gaussian_grid(p))
+
+
+def test_chain_diagnostics(skewed_model):
+    chain = sum_chain(skewed_model, 20)
+    assert chain.density(1).meta["conv_count"] == 0
+    for n in (6, 12, 20):
+        meta = chain.density(n).meta
+        assert meta == normalized_sum_density(skewed_model, n).meta
+        # squarings up to the top bit, then one product per further set bit
+        assert meta["conv_count"] == n.bit_length() + bin(n).count("1") - 2
+        assert len(meta["conv_mass_drifts"]) == meta["conv_count"]
+        assert max(abs(d) for d in meta["conv_mass_drifts"]) < 1e-12
+        # the skewed base keeps its whole grid, so p_n's array is n*(16384-1)+1
+        assert meta["chain_max_len"] == n * 16383 + 1
+    with pytest.raises(ValueError):
+        chain.density(32)
+
+
+class _ConvolutionStarted(Exception):
+    pass
+
+
+def test_chain_length_cap(skewed_model, monkeypatch):
+    def refuse(p, q):
+        raise _ConvolutionStarted
+    monkeypatch.setattr(grids, "convolve", refuse)
+    # n = 4096 needs ~67M points: refused before the first convolution
+    with pytest.raises(ChainTooLongError):
+        normalized_sum_density(skewed_model, 4096)
+    # n = 2048 needs 33552385 <= 2^25 points: the chain starts
+    with pytest.raises(_ConvolutionStarted):
+        sum_chain(skewed_model, 2048)
 
 
 def test_aliasing_guard():
