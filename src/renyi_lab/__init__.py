@@ -1,6 +1,9 @@
 """Numerical laboratory for distances between normalized sums and the
 standard normal law: Renyi/Tsallis divergences, Edgeworth corrections,
-rate-constant reproduction, and subgaussianity checkers."""
+rate-constant reproduction, and subgaussianity checkers.
+
+scipy is imported inside the functions that call it, so importing the
+package, and CLI commands that never call it, load no scipy module."""
 
 from .errors import (AliasingError, ChainTooLongError, ConstraintError,
                      GridTooNarrowError, LabError, OscillationError,

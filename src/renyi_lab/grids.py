@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.interpolate import CubicSpline
 
 from .errors import (AliasingError, ChainTooLongError, GridTooNarrowError,
                      TailDominanceError)
@@ -172,6 +170,7 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Same transform length and arithmetic as scipy.signal.fftconvolve; a
     square (b is a) transforms once.
     """
+    from scipy.fft import irfft, next_fast_len, rfft
     size = len(a) + len(b) - 1
     nfft = next_fast_len(size, real=True)
     fa = rfft(a, nfft)
@@ -269,6 +268,7 @@ def _resample_sum(acc: GridDensity, n: int, cfg: GridConfig) -> GridDensity:
     The spline is fitted only on the nodes spanning the target arguments
     plus _SPLINE_MARGIN on each side.
     """
+    from scipy.interpolate import CubicSpline
     root_n = math.sqrt(n)
     step = 2.0 * cfg.half_width / cfg.points
     y = -cfg.half_width + step * (np.arange(cfg.points) + 0.5)
@@ -332,11 +332,6 @@ def laplace_eval(p: GridDensity, t: float) -> float:
     return float(p.step * w.sum())
 
 
-def char_eval(p: GridDensity, t: float) -> complex:
-    """Characteristic function E e^{itX} by direct quadrature."""
-    return complex(p.step * np.sum(p.values * np.exp(1j * float(t) * p.x)))
-
-
 def _quantile_table(p: GridDensity):
     c = np.concatenate([[0.0], np.cumsum(p.values) * p.step])
     c /= c[-1]
@@ -370,6 +365,7 @@ def gaussian_smooth(p: GridDensity, t: float) -> GridDensity:
     step = p.step
     if s2 < 5.0 * step:
         raise ValueError("smoothing scale below grid resolution")
+    from scipy.interpolate import CubicSpline
     # scaled copy of p on the same step
     spline = CubicSpline(p.x, p.values)
     half1 = s1 * max(abs(p.origin), abs(p.origin + p.n * step))

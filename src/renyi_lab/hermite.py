@@ -36,6 +36,27 @@ def hermite_eval(k: int, x):
     return h1 if h1.ndim else float(h1)
 
 
+def _hermite_seq(K: int, x):
+    """Yield H_1(x), ..., H_K(x): the recurrence of hermite_eval, run once.
+
+    The yielded arrays feed the recurrence and must not be modified.
+    """
+    if K < 1:
+        return
+    h0, h1 = 1.0, x
+    yield h1
+    for j in range(1, K):
+        h0, h1 = h1, x * h1 - j * h0
+        yield h1
+
+
+def _require_finite(cs) -> None:
+    for k, v in enumerate(cs):
+        if not math.isfinite(v):
+            raise SeriesError(f"normal moment c_{k} = {v} is not finite "
+                              f"(H_k overflows); use a smaller K")
+
+
 @lru_cache(maxsize=None)
 def hermite_coefficients(k: int) -> tuple:
     """Monomial coefficients of H_k, degree 0..k, exact integers."""
@@ -75,7 +96,8 @@ def normal_moments(p, K: int = 40) -> NormalMomentVector:
     integrands against a polynomial density; other analytic models are
     sampled at midpoints of a wide window (half_width 20) so that the
     truncation boundary term H_{K-1}(W) phi(W) stays far below 1e-8 up
-    to K = 40.
+    to K = 40.  A non-finite c_k (H_k overflowing at large K) raises
+    SeriesError.
     """
     if isinstance(p, AnalyticModel):
         if p.density is None:
@@ -84,12 +106,12 @@ def normal_moments(p, K: int = 40) -> NormalMomentVector:
             r = float(p.support_radius)
             nodes, wts = np.polynomial.legendre.leggauss(max(64, 2 * K))
             x = r * nodes
-            dens = np.asarray(p.density(x), dtype=float)
-            cs = [1.0]
-            for k in range(1, K + 1):
-                cs.append(float(r * np.sum(wts * dens * hermite_eval(k, x))))
-            total = float(r * np.sum(wts * dens))
-            return NormalMomentVector(tuple(c / total for c in cs))
+            wd = wts * np.asarray(p.density(x), dtype=float)
+            cs = [1.0] + [float(r * np.sum(wd * hk)) for hk in _hermite_seq(K, x)]
+            total = float(r * np.sum(wd))
+            cs = [c / total for c in cs]
+            _require_finite(cs)
+            return NormalMomentVector(tuple(cs))
         step = 2.0 * _MOMENT_GRID_HALF_WIDTH / _MOMENT_GRID_POINTS
         xg = -_MOMENT_GRID_HALF_WIDTH + step * (np.arange(_MOMENT_GRID_POINTS) + 0.5)
         vals = np.maximum(np.asarray(p.density(xg), dtype=float), 0.0)
@@ -99,14 +121,14 @@ def normal_moments(p, K: int = 40) -> NormalMomentVector:
     x = p.x
     w = p.step * p.values
     cs = [1.0]
-    for k in range(1, K + 1):
-        hk = hermite_eval(k, x)
+    for k, hk in enumerate(_hermite_seq(K, x), start=1):
         integ = np.abs(hk) * p.values
         peak = integ.max()
         if peak > 0 and max(integ[0], integ[-1]) > 1e-12 * peak:
             raise TailDominanceError(
                 f"H_{k} p not decayed at the window edge; moments unreliable")
         cs.append(float(np.sum(w * hk)))
+    _require_finite(cs)
     return NormalMomentVector(tuple(cs))
 
 
@@ -126,10 +148,12 @@ def chi2_from_normal_moments(c: NormalMomentVector, t: float = 1.0) -> SeriesVal
     envelope ratio over the last two five-term blocks must stay below
     0.9.  The envelope (block maximum) is what decays geometrically for
     well-behaved inputs; individual term ratios spike when the c_k
-    oscillate through near-zeros, so they are not used directly.
+    oscillate through near-zeros, so they are not used directly.  A
+    non-finite c_k raises SeriesError.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
+    _require_finite(c.values)
     terms = []
     for k in range(1, len(c)):
         ck = c[k]
@@ -175,10 +199,11 @@ def exponential_series_eval(c: NormalMomentVector, x: float) -> float:
     SeriesError is raised.
     """
     x = float(x)
+    hs = [1.0, *_hermite_seq(len(c) - 1, x)]
     partials = []
     s = 0.0
     for k in range(len(c)):
-        s += c[k] * hermite_eval(k, x) / math.factorial(k)
+        s += c[k] * hs[k] / math.factorial(k)
         partials.append(s)
     if len(partials) >= 5:
         window = partials[-5:]

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import ndtr, roots_legendre
 
 from .errors import ConstraintError
 from .grids import AnalyticModel
@@ -32,6 +30,13 @@ class ModelSpec:
 def _phi(x, var=1.0):
     x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * x * x / var) / np.sqrt(2.0 * math.pi * var)
+
+
+def _ndtr(x):
+    """Standard normal CDF; scipy.special loads on the first call, not
+    when a model is built."""
+    from scipy.special import ndtr
+    return ndtr(x)
 
 
 def _log_sinh_ratio(u):
@@ -58,7 +63,7 @@ def normal_model(sigma2: float = 1.0) -> AnalyticModel:
     return AnalyticModel(
         name=f"normal(sigma2={sigma2:g})",
         density=lambda x: _phi(x, sigma2),
-        cdf=lambda x: ndtr(np.asarray(x, dtype=float) / s),
+        cdf=lambda x: _ndtr(np.asarray(x, dtype=float) / s),
         log_laplace=lambda t: 0.5 * sigma2 * np.asarray(t, dtype=float) ** 2,
         char_fn=lambda t: np.exp(-0.5 * sigma2 * np.asarray(t) ** 2),
         cumulants=(0.0, sigma2),
@@ -139,6 +144,7 @@ def gauss_scale_mixture_model(atoms=None, kappa=None, upper=1.0) -> AnalyticMode
     elif kappa is not None:
         if kappa <= 0 or not 0.0 < upper < 2.0:
             raise ValueError("need kappa > 0 and upper in (0, 2)")
+        from scipy.special import roots_legendre
         nodes, wts = roots_legendre(64)
         at = []
         for j in range(8):
@@ -164,7 +170,7 @@ def gauss_scale_mixture_model(atoms=None, kappa=None, upper=1.0) -> AnalyticMode
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
-        return np.sum(ws * ndtr(x[..., None] / np.sqrt(s2s)), axis=-1)
+        return np.sum(ws * _ndtr(x[..., None] / np.sqrt(s2s)), axis=-1)
 
     def log_laplace(t):
         t = np.asarray(t, dtype=float)
@@ -207,7 +213,7 @@ def power_density_model(d: int = 1) -> AnalyticModel:
 
     cdf = None
     if d == 1:
-        cdf = lambda x: ndtr(np.asarray(x, dtype=float)) - np.asarray(x, dtype=float) * _phi(x)
+        cdf = lambda x: _ndtr(np.asarray(x, dtype=float)) - np.asarray(x, dtype=float) * _phi(x)
     var = 2.0 * d + 1.0
     return AnalyticModel(
         name=f"power_density(d={d})",
@@ -246,7 +252,7 @@ def bernoulli_gauss_construct(p: float, beta: float) -> AnalyticModel:
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
-        return p * ndtr((x - a * q) / b) + q * ndtr((x + a * p) / b)
+        return p * _ndtr((x - a * q) / b) + q * _ndtr((x + a * p) / b)
 
     g3 = a ** 3 * p * q * (q - p)
     g4 = a ** 4 * p * q * (1.0 - 6.0 * p * q)
@@ -290,6 +296,7 @@ def _trig_core(name, a0, a, b, c=None):
     qv = p_trig(ts, weighted=True)
     i = int(np.argmax(qv))
     span = 2.0 * math.pi / 4096
+    from scipy.optimize import minimize_scalar
     res = minimize_scalar(lambda x: -float(p_trig(x, weighted=True)),
                           bounds=(ts[i] - span, ts[i] + span), method="bounded",
                           options={"xatol": 1e-12})

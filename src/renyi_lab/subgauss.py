@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize_scalar
 
 from .errors import ConstraintError, TailDominanceError
 from .grids import AnalyticModel, GridConfig, GridDensity, discretize, laplace_eval
@@ -106,6 +104,7 @@ def profile(model: AnalyticModel, t_range=(-40.0, 40.0),
             continue
     if len(ts) < 10:
         raise ValueError(f"Laplace transform of {model.name!r} not evaluable on range")
+    from scipy.interpolate import CubicSpline
     ts = np.asarray(ts)
     ks = np.asarray(ks)
     spline = CubicSpline(ts, ks)
@@ -271,6 +270,7 @@ def dinf_clt_check(prof: LogLaplaceProfile, samples: int = 8001) -> CheckReport:
     for i0, i1 in _zero_clusters(ts, in_band):
         left = ts[max(i0 - 1, 0)]
         right = ts[min(i1 + 1, len(ts) - 1)]
+        from scipy.optimize import minimize_scalar
         res = minimize_scalar(lambda t: float(prof.A(t)), bounds=(left, right),
                               method="bounded", options={"xatol": 1e-11})
         t_star = float(res.x)
@@ -343,6 +343,7 @@ def periodic_clt_check(p_coeffs, h: float, samples: int = 16384) -> CheckReport:
         if i0 == 0 or i1 == len(ts) - 1:
             continue  # the mandatory zero at the period endpoints
         left, right = ts[i0 - 1], ts[i1 + 1]
+        from scipy.optimize import minimize_scalar
         res = minimize_scalar(lambda t: float(_trig_eval(a0, a, b, t)),
                               bounds=(left, right), method="bounded",
                               options={"xatol": 1e-12})

@@ -105,6 +105,16 @@ def test_hermite_output(capsys):
     assert all(abs(v) < 1e-10 for v in vals[1:4])  # c_1..c_3 vanish
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_hermite_overflow_exits_1(capsys):
+    code, out, err = run(capsys, "hermite", "--model",
+                         '{"kind": "power_density", "params": {"d": 2}}', "--k", "300")
+    assert code == 1
+    assert out == ""
+    assert "c_266" in err
+
+
 def test_edgeworth_gammas(capsys):
     code, out, _ = run(capsys, "edgeworth", "--gammas", "0,1,0.6", "--m", "3",
                        "--json")
@@ -175,6 +185,28 @@ def test_unknown_model_exits_1(capsys):
 def test_cli_import_skips_scipy_signal():
     code = "import sys, renyi_lab.cli; sys.exit('scipy.signal' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_short_commands_skip_scipy():
+    # scipy costs ~0.5 s to import; these commands never call it
+    cases = [(["zoo", "list"], 0),
+             (["edgeworth", "--gammas", "0,1,0.6,0.4", "--m", "4"], 0),
+             (["hermite", "--model", "uniform", "--k", "40"], 0),
+             (["check-subgauss", "--model", SKEWED], 1)]
+    code = f"""
+import contextlib, io, sys
+from renyi_lab.cli import main
+def loaded():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded(), loaded()
+for argv, want in {cases!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        got = main(argv)
+    assert got == want, (argv, got)
+    assert not loaded(), (argv, loaded())
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_entry_point():

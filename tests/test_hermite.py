@@ -1,15 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from renyi_lab import (NormalMomentVector, SeriesError, TailDominanceError,
-                       chi2_from_normal_moments, exponential_series_eval,
-                       gaussian_grid, gaussian_smooth, hermite_binomial_check,
-                       hermite_coefficients, hermite_eval,
-                       moments_from_normal_moments, normal_moments,
-                       pearson_vajda)
-from conftest import model_of, pn_of
+from renyi_lab import (GridDensity, NormalMomentVector, SeriesError,
+                       TailDominanceError, chi2_from_normal_moments,
+                       exponential_series_eval, gaussian_grid, gaussian_smooth,
+                       hermite_binomial_check, hermite_coefficients,
+                       hermite_eval, moments_from_normal_moments,
+                       normal_moments, pearson_vajda)
+from renyi_lab import hermite
+from conftest import SKEWED, model_of, pn_of
 
 
 def test_recurrence_small_orders():
@@ -137,6 +139,59 @@ def test_exponential_series_reconstruction():
     for x in (-1.5, 0.0, 0.7, 2.0):
         target = x * x * math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
         assert abs(exponential_series_eval(c, x) - target) < 1e-12
+
+
+def _per_k_normal_moments(model, K):
+    """normal_moments with one hermite_eval call per k, the O(K^2 N) form."""
+    if model.support_radius is not None:
+        r = float(model.support_radius)
+        nodes, wts = np.polynomial.legendre.leggauss(max(64, 2 * K))
+        x = r * nodes
+        dens = np.asarray(model.density(x), dtype=float)
+        cs = [1.0] + [float(r * np.sum(wts * dens * hermite_eval(k, x)))
+                      for k in range(1, K + 1)]
+        total = float(r * np.sum(wts * dens))
+        return tuple(c / total for c in cs)
+    half, points = hermite._MOMENT_GRID_HALF_WIDTH, hermite._MOMENT_GRID_POINTS
+    step = 2.0 * half / points
+    x = -half + step * (np.arange(points) + 0.5)
+    vals = np.maximum(np.asarray(model.density(x), dtype=float), 0.0)
+    p = GridDensity(-half, step, vals / (step * vals.sum()))
+    w = p.step * p.values
+    return (1.0,) + tuple(float(np.sum(w * hermite_eval(k, p.x)))
+                          for k in range(1, K + 1))
+
+
+@pytest.mark.parametrize("spec, K", [
+    ("uniform", 40),                                       # Gauss-Legendre
+    (SKEWED, 120),                                         # grid
+    ({"kind": "power_density", "params": {"d": 1}}, 60),   # grid
+])
+def test_one_pass_recurrence_bitwise(spec, K):
+    model = model_of(spec)
+    c = normal_moments(model, K)
+    assert c.values == _per_k_normal_moments(model, K)
+    for x in (-1.3, 0.0, 0.7, 2.5):
+        partials = list(itertools.accumulate(
+            c[k] * hermite_eval(k, x) / math.factorial(k) for k in range(len(c))))
+        window = partials[-5:]
+        if max(window) - min(window) > 1e-6 * (1.0 + abs(window[-1])):
+            with pytest.raises(SeriesError):  # the uniform's jumps
+                exponential_series_eval(c, x)
+            continue
+        phi = math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
+        assert exponential_series_eval(c, x) == phi * partials[-1], x
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_series_refuses_non_finite_moments():
+    # H_k overflows on the |x| <= 20 moment grid from k = 266 on
+    with pytest.raises(SeriesError, match="c_266 "):
+        normal_moments(model_of({"kind": "power_density", "params": {"d": 2}}), K=300)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(SeriesError, match="c_2 "):
+            chi2_from_normal_moments(NormalMomentVector((1.0, 0.0, bad, 0.0)))
 
 
 def test_series_divergence_gate():
