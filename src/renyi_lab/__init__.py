@@ -3,7 +3,9 @@ standard normal law: Renyi/Tsallis divergences, Edgeworth corrections,
 rate-constant reproduction, and subgaussianity checkers.
 
 scipy is imported inside the functions that call it, so importing the
-package, and CLI commands that never call it, load no scipy module."""
+package, and CLI commands that never call it, load no scipy module.
+The CLI module (`renyi_lab.cli`) is not imported with the package;
+`ExperimentConfig` and `run_experiment` load it on first access."""
 
 from .errors import (AliasingError, ChainTooLongError, ConstraintError,
                      GridTooNarrowError, LabError, OscillationError,
@@ -37,6 +39,14 @@ from .subgauss import (LogLaplaceProfile, bernoulli_log_laplace,
 from .models import (MODEL_DOCS, ModelSpec, bernoulli_gauss_construct,
                      make_model, mixture_chi2, mixture_finiteness,
                      sin_power_coefficients)
-from .cli import ExperimentConfig, run_experiment
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the CLI module is loaded on first use, so that `python -m
+    # renyi_lab.cli` does not find it already imported
+    if name in ("ExperimentConfig", "run_experiment"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -340,13 +340,38 @@ def _quantile_table(p: GridDensity):
     return c[keep], edges[keep]
 
 
+def _quantile_at(c, x, a, u):
+    """Value at u and slope of the piece of the piecewise-linear quantile
+    (c, x) that contains a; u must lie in the same piece."""
+    j = np.searchsorted(c, a, side="right") - 1
+    slope = (x[j + 1] - x[j]) / (c[j + 1] - c[j])
+    return slope * (u - c[j]) + x[j], slope
+
+
 def wasserstein2(p: GridDensity, q: GridDensity, subdiv: int = 1 << 20) -> float:
-    """Quadratic Wasserstein distance via piecewise-linear quantile coupling."""
+    """Quadratic Wasserstein distance via piecewise-linear quantile coupling.
+
+    W_2^2 = int_0^1 (Q_p(u) - Q_q(u))^2 du by the midpoint rule on the
+    S = subdiv points u_i = (i + 1/2)/S.  Between consecutive knots a < b
+    of the union of the two quantile tables, d = Q_p - Q_q is linear with
+    slope beta.  The c = ceil(bS - 1/2) - ceil(aS - 1/2) midpoints in
+    [a, b) are equally spaced around their mean u*, so they contribute
+    c d(u*)^2 + beta^2 c (c^2 - 1) / (12 S^2): two nonnegative terms, no
+    cancellation.  O(len(p) + len(q)) work, no subdiv-length arrays.
+    """
     cp, xp = _quantile_table(p)
     cq, xq = _quantile_table(q)
-    u = (np.arange(subdiv) + 0.5) / subdiv
-    d = np.interp(u, cp, xp) - np.interp(u, cq, xq)
-    return float(math.sqrt(np.mean(d * d)))
+    knots = np.union1d(cp, cq)  # 0 and 1 are knots of both tables
+    first = np.ceil(knots * subdiv - 0.5)  # index of the first midpoint >= knot
+    count = np.diff(first)
+    live = count > 0
+    a, c = knots[:-1][live], count[live]
+    u = (first[:-1][live] + 0.5 * c) / subdiv  # mean of the piece's midpoints
+    qp, sp = _quantile_at(cp, xp, a, u)
+    qq, sq = _quantile_at(cq, xq, a, u)
+    d, beta = qp - qq, sp - sq
+    spread = np.sum(beta * beta * (c * (c * c - 1.0))) / (12.0 * subdiv * subdiv)
+    return float(math.sqrt((np.sum(c * d * d) + spread) / subdiv))
 
 
 def gaussian_smooth(p: GridDensity, t: float) -> GridDensity:

@@ -50,11 +50,16 @@ def _hermite_seq(K: int, x):
         yield h1
 
 
+def _finite_moment(k: int, v: float) -> float:
+    if not math.isfinite(v):
+        raise SeriesError(f"normal moment c_{k} = {v} is not finite "
+                          f"(H_k overflows); use a smaller K")
+    return v
+
+
 def _require_finite(cs) -> None:
     for k, v in enumerate(cs):
-        if not math.isfinite(v):
-            raise SeriesError(f"normal moment c_{k} = {v} is not finite "
-                              f"(H_k overflows); use a smaller K")
+        _finite_moment(k, v)
 
 
 @lru_cache(maxsize=None)
@@ -96,8 +101,8 @@ def normal_moments(p, K: int = 40) -> NormalMomentVector:
     integrands against a polynomial density; other analytic models are
     sampled at midpoints of a wide window (half_width 20) so that the
     truncation boundary term H_{K-1}(W) phi(W) stays far below 1e-8 up
-    to K = 40.  A non-finite c_k (H_k overflowing at large K) raises
-    SeriesError.
+    to K = 40.  The first non-finite c_k (H_k overflowing at large K)
+    raises SeriesError; no later order is evaluated.
     """
     if isinstance(p, AnalyticModel):
         if p.density is None:
@@ -107,10 +112,11 @@ def normal_moments(p, K: int = 40) -> NormalMomentVector:
             nodes, wts = np.polynomial.legendre.leggauss(max(64, 2 * K))
             x = r * nodes
             wd = wts * np.asarray(p.density(x), dtype=float)
-            cs = [1.0] + [float(r * np.sum(wd * hk)) for hk in _hermite_seq(K, x)]
             total = float(r * np.sum(wd))
-            cs = [c / total for c in cs]
-            _require_finite(cs)
+            cs = [1.0 / total]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k, hk in enumerate(_hermite_seq(K, x), start=1):
+                    cs.append(_finite_moment(k, float(r * np.sum(wd * hk)) / total))
             return NormalMomentVector(tuple(cs))
         step = 2.0 * _MOMENT_GRID_HALF_WIDTH / _MOMENT_GRID_POINTS
         xg = -_MOMENT_GRID_HALF_WIDTH + step * (np.arange(_MOMENT_GRID_POINTS) + 0.5)
@@ -121,14 +127,15 @@ def normal_moments(p, K: int = 40) -> NormalMomentVector:
     x = p.x
     w = p.step * p.values
     cs = [1.0]
-    for k, hk in enumerate(_hermite_seq(K, x), start=1):
-        integ = np.abs(hk) * p.values
-        peak = integ.max()
-        if peak > 0 and max(integ[0], integ[-1]) > 1e-12 * peak:
-            raise TailDominanceError(
-                f"H_{k} p not decayed at the window edge; moments unreliable")
-        cs.append(float(np.sum(w * hk)))
-    _require_finite(cs)
+    # H_k overflows at large k; the first non-finite c_k raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, hk in enumerate(_hermite_seq(K, x), start=1):
+            integ = np.abs(hk) * p.values
+            peak = integ.max()
+            if peak > 0 and max(integ[0], integ[-1]) > 1e-12 * peak:
+                raise TailDominanceError(
+                    f"H_{k} p not decayed at the window edge; moments unreliable")
+            cs.append(_finite_moment(k, float(np.sum(w * hk))))
     return NormalMomentVector(tuple(cs))
 
 

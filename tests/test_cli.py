@@ -105,14 +105,13 @@ def test_hermite_output(capsys):
     assert all(abs(v) < 1e-10 for v in vals[1:4])  # c_1..c_3 vanish
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_hermite_overflow_exits_1(capsys):
     code, out, err = run(capsys, "hermite", "--model",
                          '{"kind": "power_density", "params": {"d": 2}}', "--k", "300")
     assert code == 1
     assert out == ""
     assert "c_266" in err
+    assert err.startswith("renyi-lab: error:") and len(err.splitlines()) == 1
 
 
 def test_edgeworth_gammas(capsys):
@@ -214,3 +213,11 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "uniform:" in proc.stdout
+
+
+def test_module_run_is_warning_free():
+    # the package does not import renyi_lab.cli, so runpy finds no stale copy
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "renyi_lab.cli", "zoo", "list"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

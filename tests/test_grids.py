@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.signal import fftconvolve
 
@@ -200,6 +202,56 @@ def test_wasserstein_shift(normal_grid):
     shifted = gaussian_grid(normal_grid, mean=0.7)
     assert abs(wasserstein2(normal_grid, shifted) - 0.7) < 1e-4
     assert wasserstein2(normal_grid, normal_grid) < 1e-9
+
+
+def _w2_reference(p, q, subdiv=1 << 20):
+    """The midpoint rule term by term: interpolate both quantiles at every
+    u_i = (i + 1/2)/subdiv."""
+    cp, xp = grids._quantile_table(p)
+    cq, xq = grids._quantile_table(q)
+    u = (np.arange(subdiv) + 0.5) / subdiv
+    d = np.interp(u, cp, xp) - np.interp(u, cq, xq)
+    return float(math.sqrt(np.mean(d * d)))
+
+
+W2_MODELS = {"skewed": SKEWED, "uniform": "uniform",
+             "power_density": {"kind": "power_density", "params": {"d": 1}},
+             "mixture": {"kind": "gauss_scale_mixture",
+                         "params": {"atoms": [[0.5, 0.6], [0.5, 1.4]]}}}
+
+
+@pytest.mark.parametrize("spec", list(W2_MODELS.values()), ids=list(W2_MODELS))
+def test_wasserstein2_matches_midpoint_reference(spec):
+    for n in (1, 2, 4, 8):
+        p = pn_of(spec, n)
+        q = gaussian_grid(p)
+        w2, ref = wasserstein2(p, q), _w2_reference(p, q)
+        assert abs(w2 - ref) <= 1e-12 * ref, n
+        assert wasserstein2(q, p) == w2
+        assert wasserstein2(p, p) == 0.0
+
+
+# small integer masses put quantile knots on dyadic levels, where the
+# midpoints of small or power-of-two subdivisions land exactly
+_masses = st.lists(st.one_of(st.integers(0, 4).map(float),
+                             st.floats(0.0, 1.0, allow_subnormal=False)),
+                   min_size=1, max_size=40).filter(lambda v: sum(v) > 0)
+_grid_densities = st.builds(GridDensity, st.floats(-5.0, 5.0),
+                            st.floats(0.01, 2.0), _masses)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_grid_densities, _grid_densities,
+       st.one_of(st.integers(1, 5000), st.sampled_from([1 << k for k in range(21)])))
+def test_wasserstein2_property(p, q, subdiv):
+    w2 = wasserstein2(p, q, subdiv)
+    # nearly equal tables leave a reference made of rounding noise
+    scale = max(abs(p.origin), abs(p.origin + p.n * p.step),
+                abs(q.origin), abs(q.origin + q.n * q.step))
+    assert math.isclose(w2, _w2_reference(p, q, subdiv),
+                        rel_tol=1e-12, abs_tol=1e-14 * scale)
+    assert wasserstein2(q, p, subdiv) == w2
+    assert wasserstein2(p, p, subdiv) == 0.0
 
 
 def test_gaussian_smooth_moments(uniform_grid):

@@ -183,8 +183,6 @@ def test_one_pass_recurrence_bitwise(spec, K):
         assert exponential_series_eval(c, x) == phi * partials[-1], x
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_series_refuses_non_finite_moments():
     # H_k overflows on the |x| <= 20 moment grid from k = 266 on
     with pytest.raises(SeriesError, match="c_266 "):
