@@ -33,7 +33,10 @@ class DivergenceResult:
 
 
 def _window_radius(p: GridDensity) -> float:
-    return float(max(abs(p.x[0]), abs(p.x[-1])))
+    # |x| at the first and last sample, the same float operations as p.x
+    first = p.origin + p.step * 0.5
+    last = p.origin + p.step * ((p.n - 1) + 0.5)
+    return float(max(abs(first), abs(last)))
 
 
 def _tail_estimate(g: np.ndarray, step: float) -> float:

@@ -16,6 +16,11 @@ resampled onto the requested grid by a cubic spline fitted on the chain
 nodes around the target window.  One chain serves every n of a sweep,
 and a chain longer than CHAIN_MAX_POINTS is refused before any
 convolution runs.
+
+The transforms are numpy.fft's and the spline is `_spline`, a port of
+scipy's not-a-knot CubicSpline; both reproduce scipy.fft and
+scipy.interpolate bit for bit.  The only scipy module this module
+imports is scipy.linalg, for the spline's tridiagonal solve.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import csv
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -68,16 +74,19 @@ class GridDensity:
         object.__setattr__(self, "values", v)
         if self.step <= 0:
             raise ValueError("step must be positive")
-        if np.any(v < 0):
+        if not np.all(v >= 0):  # NaN fails too
             raise ValueError("density values must be nonnegative")
 
     @property
     def n(self) -> int:
         return len(self.values)
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return self.origin + self.step * (np.arange(self.n) + 0.5)
+        """Sample locations, computed on first use and read-only."""
+        x = self.origin + self.step * (np.arange(self.n) + 0.5)
+        x.flags.writeable = False
+        return x
 
     @property
     def mass(self) -> float:
@@ -164,18 +173,106 @@ def gaussian_grid(like: GridDensity, mean: float = 0.0, var: float = 1.0) -> Gri
     return GridDensity(like.origin, like.step, v / (like.step * v.sum()))
 
 
+def _good_size(n: int) -> int:
+    """Smallest 2*3*5-smooth integer >= n: pocketfft's fast real-transform
+    length, the value of scipy.fft.next_fast_len(n, real=True)."""
+    best = 2 * n
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            x = f35 << (-(-n // f35) - 1).bit_length()  # least f35 * 2^k >= n
+            if x < best:
+                best = x
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
 def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two real arrays by real FFTs.
 
-    Same transform length and arithmetic as scipy.signal.fftconvolve; a
-    square (b is a) transforms once.
+    Same transform length and arithmetic as scipy.signal.fftconvolve
+    (numpy >= 2 runs the same C++ pocketfft, and pads inside the
+    transform instead of copying the input); a square (b is a)
+    transforms once.
     """
-    from scipy.fft import irfft, next_fast_len, rfft
     size = len(a) + len(b) - 1
-    nfft = next_fast_len(size, real=True)
-    fa = rfft(a, nfft)
-    fa *= fa if b is a else rfft(b, nfft)
-    return irfft(fa, nfft)[:size]
+    nfft = _good_size(size)
+    fa = np.fft.rfft(a, nfft)
+    fa *= fa if b is a else np.fft.rfft(b, nfft)
+    return np.fft.irfft(fa, nfft)[:size]
+
+
+@dataclass(frozen=True)
+class _PiecewisePoly:
+    """Polynomial pieces on the breakpoints x, coefficients highest power
+    first: on [x[i], x[i+1]) the value is sum_k coefs[k][i] s^(d-k) with
+    s = t - x[i] and d = len(coefs) - 1.
+
+    Evaluation follows scipy's PPoly to the bit: the terms are added from
+    the constant up with s^k built by repeated multiplication (Horner
+    rounds differently), the last piece is closed on the right, points
+    outside the breakpoints use the end pieces and NaN gives NaN.
+    """
+    x: np.ndarray
+    coefs: tuple
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        i = np.clip(np.searchsorted(self.x, flat, side="right") - 1, 0, len(self.x) - 2)
+        s = flat - self.x[i]
+        out, power = self.coefs[-1][i], 1.0
+        for c in self.coefs[-2::-1]:
+            power = power * s
+            out = out + c[i] * power
+        return out.reshape(t.shape)
+
+    def derivative(self, nu: int = 1) -> "_PiecewisePoly":
+        d = len(self.coefs) - 1
+        if not 1 <= nu <= d:
+            raise ValueError(f"derivative order must lie in [1, {d}]")
+        return _PiecewisePoly(self.x, tuple(
+            c * float(math.perm(d - k, nu)) for k, c in enumerate(self.coefs[:-nu])))
+
+
+def _spline(x: np.ndarray, y: np.ndarray) -> _PiecewisePoly:
+    """Not-a-knot cubic spline through (x, y), x strictly increasing.
+
+    scipy.interpolate.CubicSpline's arithmetic step for step: the same
+    tridiagonal system for the node slopes, solved by LAPACK gtsv through
+    solve_banded, and the same cubic Hermite coefficients, so values and
+    derivatives agree bit for bit.
+    """
+    from scipy.linalg import solve_banded
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(x)
+    if n < 4 or y.shape != x.shape:
+        raise ValueError("a not-a-knot spline needs x and y of one length >= 4")
+    dx = np.diff(x)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(dx > 0)):
+        raise ValueError("spline nodes must be finite and strictly increasing")
+    slope = np.diff(y) / dx
+    ab = np.zeros((3, n))  # upper, main and lower diagonal
+    ab[0, 2:] = dx[:-1]
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[2, :-2] = dx[1:]
+    b = np.empty(n)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # not-a-knot: the third derivative is continuous at x[1] and x[-2]; the
+    # scalar ** 2 is pow(), which can differ from dx * dx in the last bit
+    d = x[2] - x[0]
+    ab[1, 0], ab[0, 1] = dx[1], d
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    ab[1, -1], ab[2, -2] = dx[-2], d
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return _PiecewisePoly(x, (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
 def convolve(p: GridDensity, q: GridDensity) -> GridDensity:
@@ -268,7 +365,6 @@ def _resample_sum(acc: GridDensity, n: int, cfg: GridConfig) -> GridDensity:
     The spline is fitted only on the nodes spanning the target arguments
     plus _SPLINE_MARGIN on each side.
     """
-    from scipy.interpolate import CubicSpline
     root_n = math.sqrt(n)
     step = 2.0 * cfg.half_width / cfg.points
     y = -cfg.half_width + step * (np.arange(cfg.points) + 0.5)
@@ -282,7 +378,7 @@ def _resample_sum(acc: GridDensity, n: int, cfg: GridConfig) -> GridDensity:
         lo = max(0, int((a[0] - x_first) / acc.step) - _SPLINE_MARGIN)
         hi = min(acc.n, int((a[-1] - x_first) / acc.step) + 2 + _SPLINE_MARGIN)
         xs = acc.origin + acc.step * (np.arange(lo, hi) + 0.5)
-        vals[inside] = CubicSpline(xs, acc.values[lo:hi])(a)
+        vals[inside] = _spline(xs, acc.values[lo:hi])(a)
     vals = np.maximum(vals, 0.0) * root_n
     # values below the FFT noise floor of the convolution chain are
     # meaningless; keeping them poisons ratio integrands in the far tail
@@ -390,9 +486,8 @@ def gaussian_smooth(p: GridDensity, t: float) -> GridDensity:
     step = p.step
     if s2 < 5.0 * step:
         raise ValueError("smoothing scale below grid resolution")
-    from scipy.interpolate import CubicSpline
     # scaled copy of p on the same step
-    spline = CubicSpline(p.x, p.values)
+    spline = _spline(p.x, p.values)
     half1 = s1 * max(abs(p.origin), abs(p.origin + p.n * step))
     m1 = int(math.ceil(half1 / step)) + 2
     y1 = step * (np.arange(-m1, m1) + 0.5)
@@ -406,7 +501,7 @@ def gaussian_smooth(p: GridDensity, t: float) -> GridDensity:
     conv = np.maximum(_fftconvolve(g1, ker), 0.0) * step
     x0 = (y1[0]) + (yk[0])  # first sample of the convolution
     xs = x0 + step * np.arange(len(conv))
-    out_spline = CubicSpline(xs, conv)
+    out_spline = _spline(xs, conv)
     vals = np.where((p.x >= xs[0]) & (p.x <= xs[-1]), out_spline(p.x), 0.0)
     vals = np.maximum(vals, 0.0)
     vals[vals < 1e-13 * vals.max()] = 0.0  # FFT noise floor, as in the sum path

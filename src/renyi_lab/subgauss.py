@@ -24,7 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConstraintError, TailDominanceError
-from .grids import AnalyticModel, GridConfig, GridDensity, discretize, laplace_eval
+from .grids import (AnalyticModel, GridConfig, GridDensity, _spline, discretize,
+                    laplace_eval)
 from .reports import FAILS, HOLDS, INCONCLUSIVE, CheckReport
 
 ZERO_TOL = 1e-8          # A(t) <= ZERO_TOL*(1+t^2) marks the approximate zero set
@@ -104,10 +105,7 @@ def profile(model: AnalyticModel, t_range=(-40.0, 40.0),
             continue
     if len(ts) < 10:
         raise ValueError(f"Laplace transform of {model.name!r} not evaluable on range")
-    from scipy.interpolate import CubicSpline
-    ts = np.asarray(ts)
-    ks = np.asarray(ks)
-    spline = CubicSpline(ts, ks)
+    spline = _spline(np.asarray(ts), np.asarray(ks))
     sigma2 = model.variance
     if sigma2 is None:
         sigma2 = float(spline.derivative(2)(0.0))

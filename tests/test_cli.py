@@ -208,6 +208,27 @@ for argv, want in {cases!r}:
     assert proc.returncode == 0, proc.stderr
 
 
+def test_grid_commands_skip_scipy_fft_and_interpolate():
+    # the grid layer runs on numpy.fft and its own spline; scipy.fft and
+    # scipy.interpolate cost ~0.3 s each to import
+    cases = [["dist", "--model", "uniform", "--n", "8"],
+             ["rate", "--model", "uniform", "--n", "16,32"]]
+    code = f"""
+import contextlib, io, sys
+from renyi_lab.cli import main
+def loaded():
+    return [m for m in sys.modules
+            if m.split(".")[:2] in (["scipy", "fft"], ["scipy", "interpolate"])]
+for argv in {cases!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        got = main(argv)
+    assert got == 0, (argv, got)
+    assert not loaded(), (argv, loaded())
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "renyi_lab.cli", "zoo", "list"],
                           capture_output=True, text=True)

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from renyi_lab import (entropy_young, gaussian_grid, gaussian_relative_entropy,
-                       gaussian_smooth, infinite_order, kl, orlicz_norm,
-                       pearson_vajda, relative_fisher, renyi_tsallis,
-                       tv_hellinger, wasserstein2)
+from renyi_lab import (GridDensity, entropy_young, gaussian_grid,
+                       gaussian_relative_entropy, gaussian_smooth,
+                       infinite_order, kl, orlicz_norm, pearson_vajda,
+                       relative_fisher, renyi_tsallis, tv_hellinger,
+                       wasserstein2)
+from renyi_lab.divergences import _window_radius
 from conftest import model_of, pn_of
 
 ALPHAS = (0.5, 1.5, 2.0, 3.0)
@@ -190,3 +194,11 @@ def test_entropy_young_shape():
     assert np.all(y >= 0.0)
     mid = entropy_young(0.5 * (r[:-1] + r[1:]))
     assert np.all(mid <= 0.5 * (y[:-1] + y[1:]) + 1e-12)  # convexity
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(-1e3, 1e3), st.floats(1e-6, 10.0), st.integers(1, 5000))
+def test_window_radius_matches_grid_ends(origin, step, n):
+    p = GridDensity(origin, step, np.ones(n))
+    # computed without building p.x, bit-identical to its end samples
+    assert _window_radius(p) == float(max(abs(p.x[0]), abs(p.x[-1])))

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.interpolate import CubicSpline
 from scipy.signal import fftconvolve
 
@@ -28,6 +29,22 @@ def test_grid_geometry(uniform_grid):
     # midpoint grid is exactly symmetric about zero
     assert np.max(np.abs(x + x[::-1])) == 0.0
     assert abs(p.mass - 1.0) < 1e-12
+
+
+def test_grid_x_is_cached_and_read_only(uniform_grid):
+    p = GridDensity(uniform_grid.origin, uniform_grid.step, uniform_grid.values)
+    assert "x" not in vars(p)  # lazy: a chain power never gets a second array
+    x = p.x
+    assert p.x is x
+    assert np.array_equal(x, p.origin + p.step * (np.arange(p.n) + 0.5))
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+
+
+@pytest.mark.parametrize("bad", [-1e-300, np.nan])
+def test_grid_density_refuses_negative_and_nan(bad):
+    with pytest.raises(ValueError):
+        GridDensity(0.0, 0.1, [0.5, bad, 0.5])
 
 
 def test_uniform_moments(uniform_grid):
@@ -111,6 +128,88 @@ def test_sum_density_bitwise_reference(spec):
     for n in (2, 3, 5, 8, 12, 33, 64):
         assert np.array_equal(pn_of(spec, n).values,
                               _reference_sum_density(model, n)), n
+
+
+def test_good_size_matches_scipy():
+    assert all(grids._good_size(n) == next_fast_len(n, real=True)
+               for n in range(1, (1 << 16) + 1))
+    rng = np.random.default_rng(0)
+    large = [int(n) for n in rng.integers(1 << 16, 1 << 40, 500)]
+    large += [m + d for m in (1 << 25, 3 ** 15, 5 ** 11, 2 ** 10 * 3 ** 5 * 5 ** 3)
+              for d in (-1, 0, 1)]
+    for n in large:
+        assert grids._good_size(n) == next_fast_len(n, real=True), n
+
+
+def _spy_fftconvolve(monkeypatch):
+    """Check every _fftconvolve call against scipy.signal.fftconvolve and
+    record its transform length."""
+    calls = []
+    real = grids._fftconvolve
+
+    def spy(a, b):
+        out = real(a, b)
+        assert np.array_equal(out, fftconvolve(a, b)), (len(a), len(b))
+        calls.append(grids._good_size(len(a) + len(b) - 1))
+        return out
+    monkeypatch.setattr(grids, "_fftconvolve", spy)
+    return calls
+
+
+def test_fftconvolve_matches_scipy_on_chain_products(monkeypatch):
+    calls = _spy_fftconvolve(monkeypatch)
+    # uniform trims to its support (2366 points); n = 13 multiplies the
+    # unequal powers 1, 4 and 8 after three squarings
+    chain = sum_chain(model_of("uniform"), 13)
+    chain.density(13)
+    assert len(calls) == 3 + 2
+    assert all(m & (m - 1) for m in calls)  # no power-of-two transform
+
+
+def test_fftconvolve_matches_scipy_in_gaussian_smooth(monkeypatch, uniform_grid):
+    calls = _spy_fftconvolve(monkeypatch)
+    for t in (0.05, 0.5, 0.9):
+        gaussian_smooth(uniform_grid, t)
+    assert len(calls) == 3 and all(m & (m - 1) for m in calls)
+
+
+@st.composite
+def _spline_data(draw):
+    x = np.sort(draw(st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=60,
+                              unique=True)))
+    assume(np.min(np.diff(x)) > 1e-3)
+    y = draw(st.lists(st.floats(-1e3, 1e3), min_size=len(x), max_size=len(x)))
+    t = draw(st.lists(st.floats(x[0] - 10.0, x[-1] + 10.0), max_size=50))
+    return x, np.asarray(y), np.concatenate([t, x, 0.5 * (x[1:] + x[:-1]), [np.nan]])
+
+
+# pow(0.98491, 2), which the not-a-knot row computes, is one ulp off
+# 0.98491 * 0.98491, and the difference reaches the values
+@example((np.array([0.0, 0.98491, 2.0, 3.0]), np.array([-2.0, 3.0, -2.0, 2.0]),
+          np.array([-1.0, 0.25, 1.5, 2.5, 3.5, 5.0, np.nan])))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_spline_data())
+def test_spline_matches_scipy_cubic_spline(data):
+    x, y, t = data
+    ref, ours = CubicSpline(x, y), grids._spline(x, y)
+    for nu in (0, 1, 2):
+        r = ref.derivative(nu) if nu else ref
+        o = ours.derivative(nu) if nu else ours
+        # extrapolation beyond both ends, every node, midpoints and NaN
+        assert np.array_equal(o(t), r(t), equal_nan=True), nu
+        scalar = o(float(t[0]))
+        assert scalar.shape == () and scalar == r(float(t[0])), nu
+
+
+@pytest.mark.parametrize("x, y", [
+    (np.arange(3.0), np.ones(3)),                   # fewer than four nodes
+    (np.arange(5.0), np.ones(4)),                   # unequal lengths
+    (np.array([0.0, 2.0, 1.0, 3.0]), np.ones(4)),   # not increasing
+    (np.arange(4.0), np.array([1.0, np.inf, 0.0, 1.0])),
+    (np.arange(4.0), np.array([1.0, np.nan, 0.0, 1.0]))])
+def test_spline_refuses_bad_nodes(x, y):
+    with pytest.raises(ValueError):
+        grids._spline(x, y)
 
 
 def test_shared_chain_matches_single_n(skewed_model, capsys):
