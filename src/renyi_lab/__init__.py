@@ -12,11 +12,11 @@ from .errors import (AliasingError, ChainTooLongError, ConstraintError,
                      SeriesError, TailDominanceError)
 from .reports import FAILS, HOLDS, INCONCLUSIVE, CheckReport
 from .grids import (AnalyticModel, GridConfig, GridDensity, MomentSummary,
-                    SumChain, convolve, discretize, entropy, entropy_power,
+                    SumProduct, convolve, discretize, entropy, entropy_power,
                     gaussian_grid, gaussian_smooth, grid_from_binary,
                     grid_from_csv, grid_to_binary, grid_to_csv, laplace_eval,
                     moment_summary, normalized_sum_density,
-                    pointwise_density_bound_check, sum_chain, wasserstein2)
+                    pointwise_density_bound_check, sum_densities, wasserstein2)
 from .divergences import (DivergenceResult, entropy_young,
                           gaussian_relative_entropy, infinite_order, kl,
                           orlicz_norm, pearson_vajda, relative_fisher,

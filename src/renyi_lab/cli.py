@@ -22,7 +22,7 @@ import numpy as np
 from .divergences import kl, pearson_vajda, renyi_tsallis, infinite_order, tv_hellinger
 from .edgeworth import CumulantVector, expansion_constants, fit_leading_constant, q_polynomial
 from .errors import LabError
-from .grids import GridConfig, gaussian_grid, normalized_sum_density, sum_chain
+from .grids import GridConfig, gaussian_grid, normalized_sum_density, sum_densities
 from .hermite import normal_moments
 from .models import MODEL_DOCS, ModelSpec, make_model
 from .reports import FAILS, HOLDS, INCONCLUSIVE
@@ -106,53 +106,55 @@ def _emit(rows, header, out, as_json):
         sys.stdout.write(text)
 
 
+def _orders(p, q, alpha):
+    """D_alpha, T_alpha and the tail bound of p from q; alpha = 1 is KL
+    (D = T) and alpha = inf is D_inf, T_inf."""
+    if alpha == 1.0:
+        d = kl(p, q)
+        return d, d, 0.0
+    if math.isinf(alpha):
+        d, t = infinite_order(p, q)
+        return d, t, 0.0
+    d, t = renyi_tsallis(p, q, alpha)
+    return d.value, t.value, t.tail_bound
+
+
 def _cmd_dist(args) -> int:
     model = make_model(_parse_model(args.model))
     p = normalized_sum_density(model, args.n, args.grid)
     q = gaussian_grid(p)
-    rows = []
-    for alpha in args.alpha:
-        if alpha == 1.0:
-            d = kl(p, q)
-            rows.append((alpha, d, d, 0.0))
-        elif math.isinf(alpha):
-            d, t = infinite_order(p, q)
-            rows.append((alpha, d, t, 0.0))
-        else:
-            d, t = renyi_tsallis(p, q, alpha)
-            rows.append((alpha, d.value, t.value, t.tail_bound))
+    rows = [(alpha, *_orders(p, q, alpha)) for alpha in args.alpha]
     _emit(rows, ["alpha", "D_alpha", "T_alpha", "tail_bound"],
           args.out, args.json or args.format == "json")
     return 0
 
 
-def _distance_value(model, n, cfg, distance, alpha, chain):
-    p = normalized_sum_density(model, n, cfg, chain)
+def _distance_value(item, distance, alpha):
+    """The rate value and its tail bound for one n of the stream: KL, the
+    chi^2 distance, T_alpha or T_inf."""
+    p = item.density()
     q = gaussian_grid(p)
-    if distance == "kl":
-        return kl(p, q), 0.0
     if distance == "chi2":
         return pearson_vajda(p, q, 2.0), 0.0
-    if distance == "tinf":
-        _, t = infinite_order(p, q)
-        return t, 0.0
-    d, t = renyi_tsallis(p, q, alpha)
-    return t.value, t.tail_bound
+    d, t, bound = _orders(p, q, {"kl": 1.0, "tinf": math.inf}.get(distance, alpha))
+    return (d if distance == "kl" else t), bound
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
     """One row per n: value, tail_bound, fitted constant, predicted
     constant, relative gap.  Returns the rows; writes cfg.output if set.
 
-    One convolution chain serves every n; the pool maps the per-n
-    products, resample and distance."""
+    One streaming pass of the convolution chain serves every n; each
+    n's resample and distance go to the pool as soon as its product is
+    complete, while the pass squares on."""
     model = make_model(cfg.model)
-    chain = sum_chain(model, cfg.n_values[-1], cfg.grid)
     workers = int(os.environ.get("RENYI_LAB_THREADS", "0")) or min(4, len(cfg.n_values))
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        results = list(pool.map(
-            lambda n: _distance_value(model, n, cfg.grid, cfg.distance, cfg.alpha, chain),
-            cfg.n_values))
+        futures = []
+        for item in sum_densities(model, cfg.n_values, cfg.grid):
+            futures.append(pool.submit(_distance_value, item, cfg.distance, cfg.alpha))
+            del item  # the pass frees a power once no job holds it
+        results = [f.result() for f in futures]
     values = [v for v, _ in results]
     gam = model.cumulants or (0.0, 1.0)
     const = expansion_constants(CumulantVector(tuple(gam) + (0.0,) * max(0, 4 - len(gam))))

@@ -15,7 +15,7 @@ class AliasingError(LabError):
 
 class ChainTooLongError(LabError):
     """A convolution chain would exceed the array-length cap; refused
-    before any convolution runs."""
+    before any transform runs."""
 
 
 class TailDominanceError(LabError):

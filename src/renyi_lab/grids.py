@@ -8,14 +8,17 @@ which for smooth decaying integrands on a uniform grid are spectrally
 accurate.
 
 The density of the normalized sum Z_n = (X_1 + ... + X_n)/sqrt(n) comes
-from a `SumChain`: the binary powers base^(2^j) of the trimmed base
-density, each the self-convolution of the one before (real FFTs of
-zero-padded expanding arrays, one forward transform per squaring).  p_n
-multiplies the powers of n's set bits in ascending order and is then
-resampled onto the requested grid by a cubic spline fitted on the chain
-nodes around the target window.  One chain serves every n of a sweep,
-and a chain longer than CHAIN_MAX_POINTS is refused before any
-convolution runs.
+from `sum_densities`, one streaming pass over the binary powers
+base^(2^j) of the trimmed base density, each the self-convolution of the
+one before (real FFTs of zero-padded expanding arrays, one forward
+transform per squaring).  The pass multiplies each new power into every
+pending n with that bit set, lowest bit first, and yields n's product as
+soon as its top bit is in; a squaring drops its input after the forward
+transform, so a power lives only while a pending product or the consumer
+of a yielded one needs it.  p_n is the product resampled onto the
+requested grid by a cubic spline fitted on the chain nodes around the
+target window.  A pass whose longest product would exceed
+CHAIN_MAX_POINTS is refused before any transform runs.
 
 The transforms are numpy.fft's and the spline is `_spline`, a port of
 scipy's not-a-knot CubicSpline; both reproduce scipy.fft and
@@ -30,7 +33,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -195,12 +198,28 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Same transform length and arithmetic as scipy.signal.fftconvolve
     (numpy >= 2 runs the same C++ pocketfft, and pads inside the
     transform instead of copying the input); a square (b is a)
-    transforms once.
+    transforms once, as `_fftsquare` does.
     """
+    if b is a:
+        return _fftsquare([a])
     size = len(a) + len(b) - 1
     nfft = _good_size(size)
     fa = np.fft.rfft(a, nfft)
-    fa *= fa if b is a else np.fft.rfft(b, nfft)
+    fa *= np.fft.rfft(b, nfft)
+    return np.fft.irfft(fa, nfft)[:size]
+
+
+def _fftsquare(held: list) -> np.ndarray:
+    """_fftconvolve(a, a) for the array a in the one-item list `held`.
+
+    The list is emptied by the forward transform, so when it held the
+    only reference, a is freed before the inverse transform allocates
+    its output.
+    """
+    size = 2 * len(held[0]) - 1
+    nfft = _good_size(size)
+    fa = np.fft.rfft(held.pop(), nfft)
+    fa *= fa
     return np.fft.irfft(fa, nfft)[:size]
 
 
@@ -275,18 +294,22 @@ def _spline(x: np.ndarray, y: np.ndarray) -> _PiecewisePoly:
     return _PiecewisePoly(x, (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
+def _sum_density(vals: np.ndarray, origin: float, step: float) -> GridDensity:
+    """A convolution's raw values as a density: clipped at zero, scaled by
+    the step and renormalized in place; the renormalization goes to meta."""
+    np.maximum(vals, 0.0, out=vals)
+    vals *= step
+    mass = step * vals.sum()
+    vals /= mass
+    return GridDensity(origin, step, vals, meta={"mass_drift": mass - 1.0})
+
+
 def convolve(p: GridDensity, q: GridDensity) -> GridDensity:
     """Density of the sum of independent variables with densities p, q."""
     if abs(p.step - q.step) > 1e-12 * p.step:
         raise ValueError("grids must share the same step")
-    vals = _fftconvolve(p.values, q.values)
-    np.maximum(vals, 0.0, out=vals)
-    vals *= p.step
-    mass = p.step * vals.sum()
-    vals /= mass
     x0 = (p.origin + 0.5 * p.step) + (q.origin + 0.5 * q.step)
-    return GridDensity(x0 - 0.5 * p.step, p.step, vals,
-                       meta={"mass_drift": mass - 1.0})
+    return _sum_density(_fftconvolve(p.values, q.values), x0 - 0.5 * p.step, p.step)
 
 
 def _trimmed(p: GridDensity) -> GridDensity:
@@ -302,61 +325,80 @@ def _trimmed(p: GridDensity) -> GridDensity:
 
 
 @dataclass(frozen=True)
-class SumChain:
-    """Binary convolution powers of one model's base density on one grid.
-
-    `powers[j]` is the trimmed base convolved with itself 2^j times; the
-    chain gives p_n for every n below 2^len(powers).
-    """
-    model: str
+class SumProduct:
+    """The convolution power base^n of one model's base density on the
+    chain grid, as `sum_densities` completes it; for n = 1 the product is
+    the untrimmed base itself.  `meta` holds the chain diagnostics that
+    `density` puts into p_n's meta."""
+    n: int
+    product: GridDensity
     grid: GridConfig
-    base: GridDensity      # p_1, untrimmed
-    powers: tuple
+    meta: dict = field(compare=False, repr=False)
 
-    def density(self, n: int) -> GridDensity:
-        """p_n on the chain's grid."""
-        if n == 1:
-            return self.base
-        if not 1 < n < 1 << len(self.powers):
-            raise ValueError(f"n = {n} is beyond this chain")
-        bits = [j for j in range(n.bit_length()) if n >> j & 1]
-        drifts = [p.meta["mass_drift"] for p in self.powers[1:bits[-1] + 1]]
-        acc = self.powers[bits[0]]
-        for j in bits[1:]:
-            acc = convolve(acc, self.powers[j])
-            drifts.append(acc.meta["mass_drift"])
-        p = _resample_sum(acc, n, self.grid)
-        p.meta.update(model=self.model, n=n, chain_max_len=acc.n,
-                      conv_count=len(drifts), conv_mass_drifts=tuple(drifts))
+    def density(self) -> GridDensity:
+        """p_n on the requested grid."""
+        p = self.product if self.n == 1 else _resample_sum(self.product, self.n, self.grid)
+        p.meta.update(self.meta)
         return p
 
 
-def sum_chain(model: AnalyticModel, n_max: int,
-              grid_cfg: GridConfig | None = None) -> SumChain:
-    """Square the base density up to the top bit of n_max.
+def sum_densities(model: AnalyticModel, ns: Iterable[int],
+                  grid_cfg: GridConfig | None = None) -> Iterator[SumProduct]:
+    """Yield the product base^n for each n of the strictly increasing ns.
 
-    Raises ChainTooLongError before any convolution when p_n for n_max,
-    the longest array of the chain, would exceed CHAIN_MAX_POINTS.
+    One pass squares the trimmed base up to the top bit of max(ns).  Each
+    new power 2^j is multiplied into every pending n with bit j set, in
+    ascending bit order, which fixes every p_n to the bit whatever the
+    other ns are; n is yielded as soon as its top bit is in.  A squaring
+    drops its input after the forward transform, so no power outlives the
+    pending products and the consumers of yielded products that use it.
+
+    Raises ChainTooLongError before any transform when the product for
+    max(ns), the longest array of the pass, would exceed CHAIN_MAX_POINTS.
     """
-    if n_max < 1:
-        raise ValueError("n must be at least 1")
+    ns = [int(n) for n in ns]
+    if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError("n values must be at least 1 and strictly increasing")
     cfg = grid_cfg or GridConfig()
     base = discretize(model, cfg.half_width, cfg.points)
     if base.values[0] > ALIAS_TOL or base.values[-1] > ALIAS_TOL:
         raise AliasingError(
             f"density of {model.name!r} not decayed at |x| = {cfg.half_width}; "
             f"try half_width >= {1.5 * cfg.half_width:g}")
-    work = _trimmed(base)
-    base.meta.update(n=1, chain_max_len=base.n, conv_count=0, conv_mass_drifts=())
-    longest = n_max * (work.n - 1) + 1
+    power = _trimmed(base)
+    n_max = ns[-1]
+    longest = n_max * (power.n - 1) + 1
     if n_max > 1 and longest > CHAIN_MAX_POINTS:
         raise ChainTooLongError(
             f"p_n for n = {n_max} needs a convolution array of {longest} points "
             f"(cap {CHAIN_MAX_POINTS}); use a smaller n or a coarser grid")
-    powers = [work]
-    for _ in range(n_max.bit_length() - 1):
-        powers.append(convolve(powers[-1], powers[-1]))
-    return SumChain(model.name, cfg, base, tuple(powers))
+    if ns[0] == 1:
+        yield SumProduct(1, base, cfg, dict(model=model.name, n=1, chain_max_len=base.n,
+                                            conv_count=0, conv_mass_drifts=()))
+        ns = ns[1:]
+    del base
+    acc = {}                          # n -> product of its powers so far
+    drifts = {n: [] for n in ns}      # mass drift of each of n's products
+    squared = []                      # mass drift of power j at index j - 1
+    for j in range(n_max.bit_length()):
+        if j:
+            held, centre, step = [power.values], power.origin + 0.5 * power.step, power.step
+            power = None  # held now has the pass's only reference
+            power = _sum_density(_fftsquare(held), (centre + centre) - 0.5 * step, step)
+            squared.append(power.meta["mass_drift"])
+        for n in ns:
+            if not n >> j & 1:
+                continue
+            if n in acc:
+                acc[n] = convolve(acc[n], power)
+                drifts[n].append(acc[n].meta["mass_drift"])
+            else:
+                acc[n] = power
+            if n >> j == 1:  # j is n's top bit
+                d = squared[:j] + drifts.pop(n)
+                meta = dict(model=model.name, n=n, chain_max_len=acc[n].n,
+                            conv_count=len(d), conv_mass_drifts=tuple(d))
+                yield SumProduct(n, acc.pop(n), cfg, meta)
 
 
 def _resample_sum(acc: GridDensity, n: int, cfg: GridConfig) -> GridDensity:
@@ -392,19 +434,11 @@ def _resample_sum(acc: GridDensity, n: int, cfg: GridConfig) -> GridDensity:
 
 
 def normalized_sum_density(model: AnalyticModel, n: int,
-                           grid_cfg: GridConfig | None = None,
-                           chain: SumChain | None = None) -> GridDensity:
-    """Density p_n of Z_n = (X_1 + ... + X_n)/sqrt(n) on the target grid.
-
-    `chain`, built by `sum_chain` for this model and grid, lets a sweep
-    over n share one set of powers; without it a chain for n alone is
-    built.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if chain is None:
-        chain = sum_chain(model, n, grid_cfg)
-    return chain.density(n)
+                           grid_cfg: GridConfig | None = None) -> GridDensity:
+    """Density p_n of Z_n = (X_1 + ... + X_n)/sqrt(n) on the target grid:
+    the one-n case of `sum_densities`."""
+    [item] = sum_densities(model, (n,), grid_cfg)
+    return item.density()
 
 
 def entropy(p: GridDensity) -> float:

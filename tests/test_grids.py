@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from renyi_lab import (AliasingError, ChainTooLongError, ExperimentConfig,
                        grid_to_csv, kl, laplace_eval, make_model,
                        moment_summary, normalized_sum_density,
                        pointwise_density_bound_check, run_experiment,
-                       sum_chain, wasserstein2)
+                       sum_densities, wasserstein2)
 from renyi_lab import grids
 from conftest import SKEWED, model_of, pn_of
 
@@ -142,17 +143,26 @@ def test_good_size_matches_scipy():
 
 
 def _spy_fftconvolve(monkeypatch):
-    """Check every _fftconvolve call against scipy.signal.fftconvolve and
-    record its transform length."""
+    """Check every _fftconvolve and _fftsquare call against
+    scipy.signal.fftconvolve and record its transform length."""
     calls = []
-    real = grids._fftconvolve
+    real, real_square = grids._fftconvolve, grids._fftsquare
 
     def spy(a, b):
         out = real(a, b)
         assert np.array_equal(out, fftconvolve(a, b)), (len(a), len(b))
         calls.append(grids._good_size(len(a) + len(b) - 1))
         return out
+
+    def spy_square(held):
+        a = held[0]
+        out = real_square(held)
+        assert not held
+        assert np.array_equal(out, fftconvolve(a, a)), len(a)
+        calls.append(grids._good_size(2 * len(a) - 1))
+        return out
     monkeypatch.setattr(grids, "_fftconvolve", spy)
+    monkeypatch.setattr(grids, "_fftsquare", spy_square)
     return calls
 
 
@@ -160,8 +170,8 @@ def test_fftconvolve_matches_scipy_on_chain_products(monkeypatch):
     calls = _spy_fftconvolve(monkeypatch)
     # uniform trims to its support (2366 points); n = 13 multiplies the
     # unequal powers 1, 4 and 8 after three squarings
-    chain = sum_chain(model_of("uniform"), 13)
-    chain.density(13)
+    [item] = sum_densities(model_of("uniform"), (13,))
+    item.density()
     assert len(calls) == 3 + 2
     assert all(m & (m - 1) for m in calls)  # no power-of-two transform
 
@@ -214,20 +224,54 @@ def test_spline_refuses_bad_nodes(x, y):
 
 def test_shared_chain_matches_single_n(skewed_model, capsys):
     ns = (6, 12, 20)
-    chain = sum_chain(skewed_model, ns[-1])
+    stream = {item.n: item.density() for item in sum_densities(skewed_model, ns)}
     rows = run_experiment(ExperimentConfig(ModelSpec(**SKEWED), "kl", ns))
     capsys.readouterr()
     for n, row in zip(ns, rows):
         p = normalized_sum_density(skewed_model, n)
-        assert np.array_equal(chain.density(n).values, p.values)
+        assert np.array_equal(stream[n].values, p.values)
         assert row[1] == kl(p, gaussian_grid(p))
 
 
+@pytest.mark.parametrize("spec", ["uniform", SKEWED])
+def test_stream_of_mixed_ns_matches_single_n(spec):
+    model = model_of(spec)
+    ns = (1, 3, 5, 8, 13, 33)
+    items = list(sum_densities(model, ns))
+    assert [item.n for item in items] == list(ns)
+    for item in items:
+        n, p = item.n, item.density()
+        single = normalized_sum_density(model, n)
+        assert np.array_equal(p.values, single.values), n
+        assert p.meta == single.meta
+        assert p.meta["conv_count"] == n.bit_length() + bin(n).count("1") - 2
+
+
+def test_stream_releases_powers(monkeypatch):
+    powers = []  # weakrefs to the values of the powers consumed so far
+    live = []    # how many of them are alive at each inverse transform
+    real_irfft = np.fft.irfft
+
+    def irfft(*args, **kwargs):
+        live.append(sum(r() is not None for r in powers))
+        return real_irfft(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "irfft", irfft)
+    # every n is a power of two, so no pending product holds a power, and
+    # n = 1 yields the base, of which the trimmed power 0 is a view
+    for item in sum_densities(model_of("uniform"), (1, 2, 4, 8, 16, 32)):
+        item.density()  # the consumer is done before the pass resumes
+        powers.append(weakref.ref(item.product.values))
+        del item
+    # each squaring has dropped its input before its inverse transform
+    assert live == [0] * 5
+    assert all(r() is None for r in powers)
+
+
 def test_chain_diagnostics(skewed_model):
-    chain = sum_chain(skewed_model, 20)
-    assert chain.density(1).meta["conv_count"] == 0
+    stream = {item.n: item.density() for item in sum_densities(skewed_model, (1, 6, 12, 20))}
+    assert stream[1].meta["conv_count"] == 0
     for n in (6, 12, 20):
-        meta = chain.density(n).meta
+        meta = stream[n].meta
         assert meta == normalized_sum_density(skewed_model, n).meta
         # squarings up to the top bit, then one product per further set bit
         assert meta["conv_count"] == n.bit_length() + bin(n).count("1") - 2
@@ -235,24 +279,28 @@ def test_chain_diagnostics(skewed_model):
         assert max(abs(d) for d in meta["conv_mass_drifts"]) < 1e-12
         # the skewed base keeps its whole grid, so p_n's array is n*(16384-1)+1
         assert meta["chain_max_len"] == n * 16383 + 1
-    with pytest.raises(ValueError):
-        chain.density(32)
+    for ns in ((), (0, 4), (6, 6), (12, 6)):
+        with pytest.raises(ValueError):
+            next(sum_densities(skewed_model, ns))
 
 
-class _ConvolutionStarted(Exception):
+class _TransformStarted(Exception):
     pass
 
 
 def test_chain_length_cap(skewed_model, monkeypatch):
-    def refuse(p, q):
-        raise _ConvolutionStarted
-    monkeypatch.setattr(grids, "convolve", refuse)
-    # n = 4096 needs ~67M points: refused before the first convolution
+    def refuse(*args, **kwargs):
+        raise _TransformStarted
+    monkeypatch.setattr(np.fft, "rfft", refuse)
+    # n = 4096 needs ~67M points: refused before the first transform, also
+    # when smaller n come first
     with pytest.raises(ChainTooLongError):
         normalized_sum_density(skewed_model, 4096)
-    # n = 2048 needs 33552385 <= 2^25 points: the chain starts
-    with pytest.raises(_ConvolutionStarted):
-        sum_chain(skewed_model, 2048)
+    with pytest.raises(ChainTooLongError):
+        next(sum_densities(skewed_model, (16, 4096)))
+    # n = 2048 needs 33552385 <= 2^25 points: the pass starts
+    with pytest.raises(_TransformStarted):
+        next(sum_densities(skewed_model, (2048,)))
 
 
 def test_aliasing_guard():
