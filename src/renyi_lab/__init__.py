@@ -31,12 +31,12 @@ from .edgeworth import (CumulantVector, EdgeworthPolynomial,
                         expansion_constants, fit_leading_constant,
                         lyapunov_ratio, q_polynomial, truncated_tsallis,
                         truncated_tsallis_leading_term)
-from .subgauss import (LogLaplaceProfile, bernoulli_log_laplace,
-                       bernoulli_subgauss_constant, dinf_clt_check, esscher,
+from .subgauss import (LogLaplaceProfile, dinf_clt_check, esscher,
                        esscher_stats, esscher_variance_lower_bound,
                        periodic_clt_check, profile, quartic_classify,
                        separation_check, strict_subgauss_check)
 from .models import (MODEL_DOCS, ModelSpec, bernoulli_gauss_construct,
+                     bernoulli_log_laplace, bernoulli_subgauss_constant,
                      make_model, mixture_chi2, mixture_finiteness,
                      sin_power_coefficients)
 

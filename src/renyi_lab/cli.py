@@ -129,15 +129,14 @@ def _cmd_dist(args) -> int:
     return 0
 
 
-def _distance_value(item, distance, alpha):
-    """The rate value and its tail bound for one n of the stream: KL, the
-    chi^2 distance, T_alpha or T_inf."""
+def _distance_value(item, distance, order):
+    """The rate value and its tail bound for one n of the stream: the
+    chi^2 distance, or T at the given order (KL at 1, T_inf at inf)."""
     p = item.density()
     q = gaussian_grid(p)
     if distance == "chi2":
         return pearson_vajda(p, q, 2.0), 0.0
-    d, t, bound = _orders(p, q, {"kl": 1.0, "tinf": math.inf}.get(distance, alpha))
-    return (d if distance == "kl" else t), bound
+    return _orders(p, q, order)[1:]
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
@@ -148,25 +147,25 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     n's resample and distance go to the pool as soon as its product is
     complete, while the pass squares on."""
     model = make_model(cfg.model)
+    # the Renyi order of the distance; T_alpha ~ (alpha/2) chi^2 for small
+    # distances, and T_inf has no expansion constant
+    order = {"kl": 1.0, "chi2": 2.0, "tinf": math.inf}.get(cfg.distance, cfg.alpha)
     workers = int(os.environ.get("RENYI_LAB_THREADS", "0")) or min(4, len(cfg.n_values))
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         futures = []
         for item in sum_densities(model, cfg.n_values, cfg.grid):
-            futures.append(pool.submit(_distance_value, item, cfg.distance, cfg.alpha))
+            futures.append(pool.submit(_distance_value, item, cfg.distance, order))
             del item  # the pass frees a power once no job holds it
         results = [f.result() for f in futures]
     values = [v for v, _ in results]
     gam = model.cumulants or (0.0, 1.0)
     const = expansion_constants(CumulantVector(tuple(gam) + (0.0,) * max(0, 4 - len(gam))))
     g3_zero = const["chi2_c2_valid"]
-    if cfg.distance == "kl":
-        power = 2.0 if g3_zero else 1.0
-        predicted = const["entropy_c2"] if g3_zero else const["entropy_c1"]
-    elif cfg.distance in ("chi2", "renyi"):
-        power = 2.0 if g3_zero else 1.0
-        predicted = const["chi2_c2"] if g3_zero else const["chi2_c1"]
-    else:
+    if math.isinf(order):
         power, predicted = 0.0, math.nan
+    else:
+        power = 2.0 if g3_zero else 1.0
+        predicted = 0.5 * order * (const["chi2_c2"] if g3_zero else const["chi2_c1"])
     if all(math.isfinite(v) for v in values):
         fitted, _ = fit_leading_constant(cfg.n_values, values, power)
     else:
@@ -316,6 +315,8 @@ def main(argv=None) -> int:
     if getattr(args, "model", None) is None and args.command == "edgeworth" \
             and args.gammas is None:
         ap.exit(3, "renyi-lab: error: edgeworth needs --model or --gammas\n")
+    if args.command == "zoo" and args.model is None and args.action != "list":
+        ap.exit(3, f"renyi-lab: error: zoo {args.action} needs --model\n")
     try:
         return args.fn(args)
     except (json.JSONDecodeError, FileNotFoundError) as exc:

@@ -52,6 +52,26 @@ def _tail_estimate(g: np.ndarray, step: float) -> float:
     return tb
 
 
+def _power_ratio(w, q, alpha, keep=None):
+    """g = w^alpha q^(1-alpha) on the cells with w > 0, q > 0 (and `keep`),
+    zero elsewhere and full length, so that every caller's sum groups
+    alike; None if alpha > 1 and w charges a q-null cell, if a log g
+    exceeds log _HUGE, or if g has not decayed at a window edge."""
+    pos = w > 0.0 if keep is None else keep & (w > 0.0)
+    if alpha > 1 and np.any(pos & (q == 0.0)):
+        return None
+    m = pos & (q > 0.0)
+    lg = alpha * np.log(w[m]) + (1.0 - alpha) * np.log(q[m])
+    if np.any(lg > math.log(_HUGE)):
+        return None
+    g = np.zeros_like(w)
+    g[m] = np.exp(lg)
+    peak = g.max()
+    if peak > 0 and max(g[0], g[-1]) > _DECAY_REL * peak:
+        return None
+    return g
+
+
 def renyi_tsallis(p: GridDensity, q: GridDensity, alpha: float):
     """Renyi divergence D_alpha and Tsallis distance T_alpha of p from q.
 
@@ -60,20 +80,9 @@ def renyi_tsallis(p: GridDensity, q: GridDensity, alpha: float):
     """
     if alpha <= 0 or alpha == 1.0:
         raise ValueError("alpha must be positive and different from 1")
-    pv, qv = p.values, q.values
     cutoff = _window_radius(p)
-    if alpha > 1 and np.any((qv == 0.0) & (pv > 0.0)):
-        res = DivergenceResult(math.inf, math.inf, cutoff)
-        return res, res
-    g = np.zeros_like(pv)
-    m = (pv > 0.0) & (qv > 0.0)
-    lg = alpha * np.log(pv[m]) + (1.0 - alpha) * np.log(qv[m])
-    if np.any(lg > math.log(_HUGE)):
-        res = DivergenceResult(math.inf, math.inf, cutoff)
-        return res, res
-    g[m] = np.exp(lg)
-    peak = g.max()
-    if peak > 0 and max(g[0], g[-1]) > _DECAY_REL * peak:
+    g = _power_ratio(p.values, q.values, alpha)
+    if g is None:
         res = DivergenceResult(math.inf, math.inf, cutoff)
         return res, res
     integral = float(p.step * g.sum())
@@ -105,18 +114,8 @@ def pearson_vajda(p: GridDensity, q: GridDensity, alpha: float) -> float:
     """chi_alpha = int |p/q - 1|^alpha q for alpha >= 1; chi_1 equals TV."""
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
-    pv, qv = p.values, q.values
-    if alpha > 1 and np.any((qv == 0.0) & (pv > 0.0)):
-        return math.inf
-    g = np.zeros_like(pv)
-    w = np.abs(pv - qv)
-    m = (w > 0.0) & (qv > 0.0)
-    lg = alpha * np.log(w[m]) + (1.0 - alpha) * np.log(qv[m])
-    if np.any(lg > math.log(_HUGE)):
-        return math.inf
-    g[m] = np.exp(lg)
-    peak = g.max()
-    if peak > 0 and max(g[0], g[-1]) > _DECAY_REL * peak:
+    g = _power_ratio(np.abs(p.values - q.values), q.values, alpha)
+    if g is None:
         return math.inf
     return float(p.step * g.sum())
 

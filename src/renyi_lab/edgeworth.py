@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .divergences import _power_ratio, _window_radius
 from .grids import GridDensity, MomentSummary, gaussian_grid
 from .hermite import hermite_coefficients
 
@@ -158,20 +159,18 @@ def lyapunov_ratio(moment_list, s: float) -> float:
 
 def truncated_tsallis(p_n: GridDensity, alpha: float, s: int, n: int) -> float:
     """I_alpha(M) = int_{|x| <= M} (p_n/phi)^alpha phi - 1 with
-    M = sqrt(2 (s-1) log n), the truncation window of the expansion.
+    M = sqrt(2 (s-1) log n), the truncation window of the expansion;
+    +inf when the integrand fails the gates of the full-window integrals.
     """
     if s < 2 or n < 2:
         raise ValueError("need s >= 2 and n >= 2")
     m_cut = math.sqrt(2.0 * (s - 1) * math.log(n))
-    x = p_n.x
-    if max(abs(x[0]), abs(x[-1])) < m_cut:
+    if _window_radius(p_n) < m_cut:
         raise ValueError(f"grid too narrow: needs |x| up to {m_cut:.3g}")
-    q = gaussian_grid(p_n)
-    window = np.abs(x) <= m_cut
-    pv, qv = p_n.values, q.values
-    g = np.zeros_like(pv)
-    mask = window & (pv > 0.0) & (qv > 0.0)
-    g[mask] = np.exp(alpha * np.log(pv[mask]) + (1.0 - alpha) * np.log(qv[mask]))
+    g = _power_ratio(p_n.values, gaussian_grid(p_n).values, alpha,
+                     keep=np.abs(p_n.x) <= m_cut)
+    if g is None:
+        return math.inf
     return float(p_n.step * g.sum() - 1.0)
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ConstraintError
 from .grids import AnalyticModel
-from .subgauss import bernoulli_log_laplace, bernoulli_subgauss_constant
 
 SQRT3 = math.sqrt(3.0)
 
@@ -101,13 +100,40 @@ def bernoulli_sym_model() -> AnalyticModel:
         meta={"psi_tail": "decaying"})
 
 
-def bernoulli_asym_model(p: float) -> AnalyticModel:
-    """Standardized asymmetric Bernoulli: (xi - E xi)/sd; profile-only."""
+def bernoulli_subgauss_constant(p: float) -> float:
+    """sigma^2(p) = (p - q) / (2 (log p - log q)), q = 1 - p; 1/4 at p = 1/2.
+
+    Near p = 1/2 the ratio is evaluated by the series
+    1 / (4 (1 + d^2/3 + d^4/5 + d^6/7)), d = p - q, to avoid 0/0.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
+    d = 2.0 * p - 1.0
+    if abs(d) < 1e-4:
+        return 0.25 / (1.0 + d * d / 3.0 + d ** 4 / 5.0 + d ** 6 / 7.0)
+    return d / (4.0 * math.atanh(d))
+
+
+def bernoulli_log_laplace(p: float):
+    """K(t) of the centered Bernoulli: +q with prob p, -p with prob q."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     q = 1.0 - p
-    sd = math.sqrt(p * q)
+
+    def K(t):
+        t = np.asarray(t, dtype=float)
+        # log(p e^{qt} + q e^{-pt}) computed stably via the larger exponent
+        hi = np.maximum(q * t, -p * t)
+        return hi + np.log(p * np.exp(q * t - hi) + q * np.exp(-p * t - hi))
+
+    return K
+
+
+def bernoulli_asym_model(p: float) -> AnalyticModel:
+    """Standardized asymmetric Bernoulli: (xi - E xi)/sd; profile-only."""
     base = bernoulli_log_laplace(p)
+    q = 1.0 - p
+    sd = math.sqrt(p * q)
     return AnalyticModel(
         name=f"bernoulli_asym(p={p:g})",
         log_laplace=lambda t: base(np.asarray(t, dtype=float) / sd),
@@ -230,12 +256,10 @@ def bernoulli_gauss_construct(p: float, beta: float) -> AnalyticModel:
     E X^2 = 1 and E e^{tX} <= e^{beta t^2/2} with equality exactly at
     t* = t0/a, t0 = -2 (log p - log q).
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    sg = bernoulli_subgauss_constant(p)
     if beta <= 1.0:
         raise ValueError("beta must exceed 1")
     q = 1.0 - p
-    sg = bernoulli_subgauss_constant(p)
     if not sg > beta * p * q:
         raise ConstraintError(
             f"infeasible: subgaussian constant {sg:.6g} must exceed beta*p*q = "
@@ -265,39 +289,75 @@ def bernoulli_gauss_construct(p: float, beta: float) -> AnalyticModel:
               "t0": t0, "t_star": t0 / a})
 
 
-def _trig_core(name, a0, a, b, c=None):
-    a = [float(v) for v in a]
-    b = [float(v) for v in b]
-    scale = abs(a0) + sum(map(abs, a)) + sum(map(abs, b))
-    if scale == 0.0:
-        raise ValueError("empty trigonometric component")
-    if abs(a0 + sum(a)) > 1e-12 * scale:
-        raise ConstraintError("moment constraints violated: P(0) != 0")
-    if abs(sum(k * bk for k, bk in enumerate(b, 1))) > 1e-12 * scale:
-        raise ConstraintError("moment constraints violated: sum k b_k != 0")
-    if abs(sum(k * k * ak for k, ak in enumerate(a, 1))) > 1e-12 * scale:
-        raise ConstraintError("moment constraints violated: sum k^2 a_k != 0")
+@dataclass(frozen=True)
+class TrigPolynomial:
+    """P(t) = a0 + sum_k a_k cos kt + b_k sin kt, k = 1, 2, ..."""
+    a0: float
+    a: tuple
+    b: tuple
 
-    def p_trig(t, weighted=False):
+    def __post_init__(self):
+        object.__setattr__(self, "a0", float(self.a0))
+        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
+        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
+
+    @property
+    def scale(self) -> float:
+        return abs(self.a0) + sum(map(abs, self.a)) + sum(map(abs, self.b))
+
+    @property
+    def harmonics(self) -> list:
+        """The k with a nonzero a_k or b_k, increasing."""
+        return sorted({k for c in (self.a, self.b) for k, ck in enumerate(c, 1) if ck})
+
+    @property
+    def period(self):
+        """2 pi / gcd of the harmonics; None for a constant."""
+        active = self.harmonics
+        return 2.0 * math.pi / math.gcd(*active) if active else None
+
+    def check_moments(self) -> None:
+        """P(0) = P'(0) = P''(0) = 0, the constraints that make
+        psi = 1 - c P a valid perturbation of the normal law."""
+        scale = self.scale
+        if scale == 0.0:
+            raise ValueError("empty trigonometric component")
+        if abs(self.a0 + sum(self.a)) > 1e-12 * scale:
+            raise ConstraintError("moment constraints violated: P(0) != 0")
+        if abs(sum(k * bk for k, bk in enumerate(self.b, 1))) > 1e-12 * scale:
+            raise ConstraintError("moment constraints violated: sum k b_k != 0")
+        if abs(sum(k * k * ak for k, ak in enumerate(self.a, 1))) > 1e-12 * scale:
+            raise ConstraintError("moment constraints violated: sum k^2 a_k != 0")
+
+    def __call__(self, t, deriv: int = 0):
+        """P(t), or P''(t) for deriv = 2; zero coefficients are skipped."""
         t = np.asarray(t, dtype=float)
-        out = np.full_like(t, float(a0))
-        for k, ak in enumerate(a, 1):
-            if ak:
-                w = math.exp(0.5 * k * k) if weighted else 1.0
-                out = out + w * ak * np.cos(k * t)
-        for k, bk in enumerate(b, 1):
-            if bk:
-                w = math.exp(0.5 * k * k) if weighted else 1.0
-                out = out + w * bk * np.sin(k * t)
+        out = np.full_like(t, self.a0 if deriv == 0 else 0.0)
+        for coeffs, wave in ((self.a, np.cos), (self.b, np.sin)):
+            for k, ck in enumerate(coeffs, 1):
+                if ck:
+                    out = out + (ck if deriv == 0 else -(ck * k * k)) * wave(k * t)
         return out
 
+    def weighted(self) -> "TrigPolynomial":
+        """Q with a_k, b_k scaled by e^{k^2/2}: (1 - c Q(x)) phi(x) is the
+        density whose psi has the periodic component P."""
+        return TrigPolynomial(
+            self.a0, [math.exp(0.5 * k * k) * ak for k, ak in enumerate(self.a, 1)],
+            [math.exp(0.5 * k * k) * bk for k, bk in enumerate(self.b, 1)])
+
+
+def _trig_core(name, a0, a, b, c=None):
+    poly = TrigPolynomial(a0, a, b)
+    poly.check_moments()
+    weighted = poly.weighted()
     # c_max = 1/max Q with Q the e^{k^2/2}-weighted component in x space
     ts = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-    qv = p_trig(ts, weighted=True)
+    qv = weighted(ts)
     i = int(np.argmax(qv))
     span = 2.0 * math.pi / 4096
     from scipy.optimize import minimize_scalar
-    res = minimize_scalar(lambda x: -float(p_trig(x, weighted=True)),
+    res = minimize_scalar(lambda x: -float(weighted(x)),
                           bounds=(ts[i] - span, ts[i] + span), method="bounded",
                           options={"xatol": 1e-12})
     q_max = float(-res.fun)
@@ -310,24 +370,19 @@ def _trig_core(name, a0, a, b, c=None):
         raise ConstraintError(
             f"density not nonnegative: c = {c:g} exceeds c_max = {c_max:.6g}")
 
-    active = [k for k in range(1, max(len(a), len(b)) + 1)
-              if (k <= len(a) and a[k - 1]) or (k <= len(b) and b[k - 1])]
-    period = 2.0 * math.pi / math.gcd(*active) if active else None
-
     def density(x):
-        x = np.asarray(x, dtype=float)
-        return np.maximum(1.0 - c * p_trig(x, weighted=True), 0.0) * _phi(x)
+        return np.maximum(1.0 - c * weighted(x), 0.0) * _phi(x)
 
     def log_laplace(t):
-        return 0.5 * np.asarray(t, dtype=float) ** 2 + np.log1p(-c * p_trig(t))
+        return 0.5 * np.asarray(t, dtype=float) ** 2 + np.log1p(-c * poly(t))
 
-    g3 = c * sum(k ** 3 * bk for k, bk in enumerate(b, 1))
-    g4 = -c * sum(k ** 4 * ak for k, ak in enumerate(a, 1))
+    g3 = c * sum(k ** 3 * bk for k, bk in enumerate(poly.b, 1))
+    g4 = -c * sum(k ** 4 * ak for k, ak in enumerate(poly.a, 1))
     return AnalyticModel(
         name=name, density=density, log_laplace=log_laplace,
         cumulants=(0.0, 1.0, g3, g4),
-        meta={"psi_tail": "periodic", "period": period,
-              "trig": (float(a0), tuple(a), tuple(b), float(c)),
+        meta={"psi_tail": "periodic", "period": poly.period,
+              "trig": (poly.a0, poly.a, poly.b, float(c)),
               "c_max": c_max})
 
 
@@ -354,8 +409,7 @@ def sin_power_coefficients(m: int):
 def sin_power_model(m: int = 4, c=None) -> AnalyticModel:
     """psi(t) = 1 - c sin^m t, period pi for even m."""
     a0, a = sin_power_coefficients(m)
-    model = _trig_core(f"sin_power(m={m})", a0, a, [], c)
-    return model
+    return _trig_core(f"sin_power(m={m})", a0, a, [], c)
 
 
 def counterexample_30_4_model(c=None) -> AnalyticModel:

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ConstraintError, TailDominanceError
 from .grids import (AnalyticModel, GridConfig, GridDensity, _spline, discretize,
                     laplace_eval)
+from .models import TrigPolynomial
 from .reports import FAILS, HOLDS, INCONCLUSIVE, CheckReport
 
 ZERO_TOL = 1e-8          # A(t) <= ZERO_TOL*(1+t^2) marks the approximate zero set
@@ -242,13 +243,11 @@ def dinf_clt_check(prof: LogLaplaceProfile, samples: int = 8001) -> CheckReport:
         # and the condition A'' = 0 there reads P'' = 0 for every
         # admissible c > 0, so judge the coefficients directly (the
         # absolute A'' tolerance is meaningless when c is tiny)
-        a0, a, b, _ = prof.trig
-        rep = periodic_clt_check((a0, a, b), prof.period)
-        detail = dict(rep.detail)
-        detail.update({"tail": "periodic", "propagated": True})
+        rep = periodic_clt_check(prof.trig[:3], prof.period)
         return CheckReport(rep.verdict, witnesses=rep.witnesses,
                            tolerances={**tolerances, **rep.tolerances},
-                           zero_set=rep.zero_set, detail=detail)
+                           zero_set=rep.zero_set,
+                           detail={**rep.detail, "tail": "periodic", "propagated": True})
     if prof.tail == "periodic" and prof.period:
         lo, hi = -0.25 * prof.period, 1.25 * prof.period
         propagated = True
@@ -286,22 +285,6 @@ def dinf_clt_check(prof: LogLaplaceProfile, samples: int = 8001) -> CheckReport:
                        zero_set=zero_set, detail=detail)
 
 
-def _trig_eval(a0, a, b, t, deriv: int = 0):
-    t = np.asarray(t, dtype=float)
-    out = np.full_like(t, a0 if deriv == 0 else 0.0)
-    for k, ak in enumerate(a, start=1):
-        if deriv == 0:
-            out = out + ak * np.cos(k * t)
-        elif deriv == 2:
-            out = out - ak * k * k * np.cos(k * t)
-    for k, bk in enumerate(b, start=1):
-        if deriv == 0:
-            out = out + bk * np.sin(k * t)
-        elif deriv == 2:
-            out = out - bk * k * k * np.sin(k * t)
-    return out
-
-
 def periodic_clt_check(p_coeffs, h: float, samples: int = 16384) -> CheckReport:
     """Classify a periodic component P(t) = a0 + sum a_k cos kt + b_k sin kt.
 
@@ -310,28 +293,18 @@ def periodic_clt_check(p_coeffs, h: float, samples: int = 16384) -> CheckReport:
     converges_with_rate (P > 0 inside), converges (all interior zeros have
     P'' = 0), or "fails" (some interior zero with P'' != 0).
     """
-    a0, a, b = p_coeffs
-    a = [float(v) for v in a]
-    b = [float(v) for v in b]
-    scale = abs(a0) + sum(map(abs, a)) + sum(map(abs, b))
-    if scale == 0.0:
-        raise ValueError("P is identically zero")
-    for k in range(1, max(len(a), len(b)) + 1):
-        active = (k <= len(a) and a[k - 1] != 0.0) or (k <= len(b) and b[k - 1] != 0.0)
-        if active and abs(math.remainder(k * h, 2.0 * math.pi)) > 1e-9:
+    poly = TrigPolynomial(*p_coeffs)
+    for k in poly.harmonics:
+        if abs(math.remainder(k * h, 2.0 * math.pi)) > 1e-9:
             raise ValueError(f"h = {h:g} is not a period of the k = {k} harmonic")
-    if abs(a0 + sum(a)) > 1e-12 * scale:
-        raise ConstraintError("P(0) != 0: constant term does not cancel the cosines")
-    if abs(sum(k * bk for k, bk in enumerate(b, start=1))) > 1e-12 * scale:
-        raise ConstraintError("sum k b_k != 0 (first moment constraint violated)")
-    if abs(sum(k * k * ak for k, ak in enumerate(a, start=1))) > 1e-12 * scale:
-        raise ConstraintError("sum k^2 a_k != 0 (second moment constraint violated)")
+    poly.check_moments()
+    scale = poly.scale
     ts = np.linspace(0.0, h, samples)
-    pv = _trig_eval(a0, a, b, ts)
+    pv = poly(ts)
     if float(pv.min()) < -1e-12 * scale:
         raise ConstraintError("P is negative inside the period")
-    p2_tol = 1e-8 * (sum(k * k * abs(ak) for k, ak in enumerate(a, start=1))
-                     + sum(k * k * abs(bk) for k, bk in enumerate(b, start=1))) + 1e-12
+    p2_tol = 1e-8 * (sum(k * k * abs(ak) for k, ak in enumerate(poly.a, start=1))
+                     + sum(k * k * abs(bk) for k, bk in enumerate(poly.b, start=1))) + 1e-12
     in_band = pv <= 1e-6 * scale
     zero_set = []
     witnesses = []
@@ -342,13 +315,13 @@ def periodic_clt_check(p_coeffs, h: float, samples: int = 16384) -> CheckReport:
             continue  # the mandatory zero at the period endpoints
         left, right = ts[i0 - 1], ts[i1 + 1]
         from scipy.optimize import minimize_scalar
-        res = minimize_scalar(lambda t: float(_trig_eval(a0, a, b, t)),
+        res = minimize_scalar(lambda t: float(poly(t)),
                               bounds=(left, right), method="bounded",
                               options={"xatol": 1e-12})
         t_star = float(res.x)
-        if float(_trig_eval(a0, a, b, t_star)) > 1e-10 * scale:
+        if float(poly(t_star)) > 1e-10 * scale:
             continue
-        p2 = float(_trig_eval(a0, a, b, t_star, deriv=2))
+        p2 = float(poly(t_star, deriv=2))
         zero_set.append(t_star)
         witnesses.append((t_star, p2))
         if abs(p2) > p2_tol:
@@ -388,33 +361,6 @@ def esscher_variance_lower_bound(a_of_h: float, t_inf: float) -> float:
     """sigma_h^2 >= (pi / 6 c^2) e^{-2 A(h)} with c = 1 + T_inf(p || phi)."""
     c = 1.0 + t_inf
     return math.pi / (6.0 * c * c) * math.exp(-2.0 * a_of_h)
-
-
-def bernoulli_subgauss_constant(p: float) -> float:
-    """sigma^2(p) = (p - q) / (2 (log p - log q)), q = 1 - p; 1/4 at p = 1/2.
-
-    Near p = 1/2 the ratio is evaluated by the series
-    1 / (4 (1 + d^2/3 + d^4/5 + d^6/7)), d = p - q, to avoid 0/0.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    d = 2.0 * p - 1.0
-    if abs(d) < 1e-4:
-        return 0.25 / (1.0 + d * d / 3.0 + d ** 4 / 5.0 + d ** 6 / 7.0)
-    return d / (4.0 * math.atanh(d))
-
-
-def bernoulli_log_laplace(p: float):
-    """K(t) of the centered Bernoulli: +q with prob p, -p with prob q."""
-    q = 1.0 - p
-
-    def K(t):
-        t = np.asarray(t, dtype=float)
-        # log(p e^{qt} + q e^{-pt}) computed stably via the larger exponent
-        hi = np.maximum(q * t, -p * t)
-        return hi + np.log(p * np.exp(q * t - hi) + q * np.exp(-p * t - hi))
-
-    return K
 
 
 def quartic_classify(alpha: float, beta: float) -> dict:

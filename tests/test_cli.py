@@ -74,6 +74,21 @@ def test_rate_csv_and_determinism(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_rate_renyi_constant_scales_with_alpha(capsys):
+    # T_alpha ~ (alpha/2) chi^2: uniform has gamma4^2/24 = 0.06, so 0.09 at alpha 3
+    code, out, _ = run(capsys, "rate", "--model", "uniform", "--distance", "renyi",
+                       "--alpha-value", "3", "--n", "16,32,64")
+    assert code == 0
+    row = dict(zip(*[line.split(",") for line in out.splitlines()[:2]]))
+    assert float(row["predicted_constant"]) == 0.09
+    assert float(row["relative_gap"]) < 0.02
+    # alpha = inf is T_inf, which has no expansion constant
+    argv = ["rate", "--model", "uniform", "--n", "16,32"]
+    _, renyi_inf, _ = run(capsys, *argv, "--distance", "renyi", "--alpha-value", "inf")
+    _, tinf, _ = run(capsys, *argv, "--distance", "tinf")
+    assert renyi_inf == tinf and ",nan,nan" in tinf
+
+
 def test_rate_refuses_oversized_chain(capsys):
     code, out, err = run(capsys, "rate", "--model", SKEWED, "--distance", "kl",
                          "--n", "16,4096")
@@ -151,6 +166,13 @@ def test_check_clt_dinf_exit_codes(capsys):
     assert code == 1
     report = json.loads(out)
     assert any(abs(t - math.pi / 6.0) < 1e-6 for t in report["zero_set"])
+
+
+def test_zoo_without_model_exits_3(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zoo", "describe"])
+    assert exc.value.code == 3
+    assert capsys.readouterr().err.startswith("renyi-lab: error: ")
 
 
 def test_model_from_file(tmp_path, capsys):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from renyi_lab import (GridDensity, entropy_young, gaussian_grid,
                        gaussian_relative_entropy, gaussian_smooth,
                        infinite_order, kl, orlicz_norm, pearson_vajda,
-                       relative_fisher, renyi_tsallis, tv_hellinger,
-                       wasserstein2)
+                       relative_fisher, renyi_tsallis, truncated_tsallis,
+                       tv_hellinger, wasserstein2)
 from renyi_lab.divergences import _window_radius
 from conftest import model_of, pn_of
 
@@ -202,3 +202,42 @@ def test_window_radius_matches_grid_ends(origin, step, n):
     p = GridDensity(origin, step, np.ones(n))
     # computed without building p.x, bit-identical to its end samples
     assert _window_radius(p) == float(max(abs(p.x[0]), abs(p.x[-1])))
+
+
+def _gate_case(normal_grid, case):
+    """(p, q) on which exactly one gate of the power-ratio integrand
+    fires at alpha = 2, for renyi_tsallis and pearson_vajda alike."""
+    p, q = normal_grid, normal_grid.values.copy()
+    mid = len(q) // 2
+    if case == "q-null cell":
+        q[mid] = 0.0
+    elif case == "past _HUGE":
+        # 2 log p - log q = 690 > log 1e290, yet the integrand stays finite
+        q[mid] = p.values[mid] ** 2 * math.exp(-690.0)
+    else:  # undecayed edge: a wider normal against the standard one
+        p = gaussian_grid(normal_grid, var=9.0)
+    return p, GridDensity(normal_grid.origin, normal_grid.step, q)
+
+
+@pytest.mark.parametrize("case", ["q-null cell", "past _HUGE", "undecayed edge"])
+@pytest.mark.parametrize("which", ["renyi_tsallis", "pearson_vajda"])
+def test_power_ratio_gates(normal_grid, which, case):
+    p, q = _gate_case(normal_grid, case)
+    if which == "renyi_tsallis":
+        d, t = renyi_tsallis(p, q, 2.0)
+        assert math.isinf(d.value) and math.isinf(t.value)
+        assert math.isinf(d.tail_bound)
+    else:
+        assert pearson_vajda(p, q, 2.0) == math.inf
+
+
+def test_truncated_tsallis_ignores_q_null_outside_window():
+    # on a +-45 window the normal underflows to 0 beyond |x| ~ 38.6, where
+    # this wider normal is still positive; the |x| <= M window excludes it
+    p = gaussian_grid(GridDensity(-45.0, 90.0 / 4096, np.ones(4096)), var=9.0)
+    q = gaussian_grid(p)
+    assert np.any((q.values == 0.0) & (p.values > 0.0))
+    assert math.isinf(renyi_tsallis(p, q, 2.0)[1].value)
+    window = np.abs(p.x) <= math.sqrt(2.0 * 3 * math.log(16))
+    ref = p.step * np.sum(p.values[window] ** 2 / q.values[window]) - 1.0
+    assert truncated_tsallis(p, 2.0, 4, 16) == pytest.approx(ref, rel=1e-12)

@@ -108,6 +108,8 @@ def test_periodic_clt_check_counterexample():
     ts = sorted(rep.zero_set)
     assert abs(ts[0] - math.pi / 6.0) < 1e-6
     assert abs(ts[1] - 5.0 * math.pi / 6.0) < 1e-6
+    # the witness is P'' at each zero: 2 Q'^2 = 3/2 for P = Q^2
+    assert [w for _, w in sorted(rep.witnesses)] == pytest.approx([1.5, 1.5], abs=1e-5)
 
 
 def test_periodic_clt_check_constraints():
