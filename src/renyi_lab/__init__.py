@@ -2,8 +2,8 @@
 standard normal law: Renyi/Tsallis divergences, Edgeworth corrections,
 rate-constant reproduction, and subgaussianity checkers.
 
-scipy is imported inside the functions that call it, so importing the
-package, and CLI commands that never call it, load no scipy module.
+The package runs on numpy and the standard library alone; scipy is a
+test dependency, the reference its ports are checked against.
 The CLI module (`renyi_lab.cli`) is not imported with the package;
 `ExperimentConfig` and `run_experiment` load it on first access."""
 

@@ -52,16 +52,19 @@ def _tail_estimate(g: np.ndarray, step: float) -> float:
     return tb
 
 
-def _power_ratio(w, q, alpha, keep=None):
+def _power_ratio(w, q, alpha, keep=None, logs=None):
     """g = w^alpha q^(1-alpha) on the cells with w > 0, q > 0 (and `keep`),
     zero elsewhere and full length, so that every caller's sum groups
     alike; None if alpha > 1 and w charges a q-null cell, if a log g
-    exceeds log _HUGE, or if g has not decayed at a window edge."""
+    exceeds log _HUGE, or if g has not decayed at a window edge.  `logs`,
+    when given, holds log w and log q over the whole window, which are
+    then indexed instead of taken afresh."""
     pos = w > 0.0 if keep is None else keep & (w > 0.0)
     if alpha > 1 and np.any(pos & (q == 0.0)):
         return None
     m = pos & (q > 0.0)
-    lg = alpha * np.log(w[m]) + (1.0 - alpha) * np.log(q[m])
+    log_w, log_q = (np.log(w[m]), np.log(q[m])) if logs is None else (logs[0][m], logs[1][m])
+    lg = alpha * log_w + (1.0 - alpha) * log_q
     if np.any(lg > math.log(_HUGE)):
         return None
     g = np.zeros_like(w)
@@ -81,7 +84,7 @@ def renyi_tsallis(p: GridDensity, q: GridDensity, alpha: float):
     if alpha <= 0 or alpha == 1.0:
         raise ValueError("alpha must be positive and different from 1")
     cutoff = _window_radius(p)
-    g = _power_ratio(p.values, q.values, alpha)
+    g = _power_ratio(p.values, q.values, alpha, logs=(p.log_values, q.log_values))
     if g is None:
         res = DivergenceResult(math.inf, math.inf, cutoff)
         return res, res
@@ -100,7 +103,7 @@ def kl(p: GridDensity, q: GridDensity) -> float:
     m = pv > 0.0
     if np.any(qv[m] == 0.0):
         return math.inf
-    return float(p.step * np.sum(pv[m] * (np.log(pv[m]) - np.log(qv[m]))))
+    return float(p.step * np.sum(pv[m] * (p.log_values[m] - q.log_values[m])))
 
 
 def tv_hellinger(p: GridDensity, q: GridDensity):

@@ -9,7 +9,9 @@ power_density, which keeps its natural variance 2d+1.
 
 from __future__ import annotations
 
+import inspect
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,11 +33,97 @@ def _phi(x, var=1.0):
     return np.exp(-0.5 * x * x / var) / np.sqrt(2.0 * math.pi * var)
 
 
-def _ndtr(x):
-    """Standard normal CDF; scipy.special loads on the first call, not
-    when a model is built."""
-    from scipy.special import ndtr
-    return ndtr(x)
+# Cephes ndtr.c (scipy.special.ndtr): erfc(z) = e^{-z^2} P(z)/Q(z) for
+# 1 <= z < 8 and e^{-z^2} R(z)/S(z) beyond, erf(x) = x T(x^2)/U(x^2) for
+# |x| <= 1; highest power first, and Q, S, U have an implied leading 1
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_MAXLOG = 7.09782712893383996843E2  # log of the largest double
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _polevl(x, coef):
+    """coef[0] x^d + ... + coef[d] for an array x, rounded as Cephes
+    polevl rounds: y = y x + c from the top down (in place)."""
+    y = coef[0] * x
+    y += coef[1]
+    for c in coef[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def _p1evl(x, coef):
+    """Cephes p1evl: _polevl with an implied leading coefficient 1."""
+    y = x + coef[0]
+    for c in coef[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def _erf_inner(x):
+    """Cephes erf for |x| <= 1."""
+    z = x * x
+    y = x * _polevl(z, _ERF_T)
+    y /= _p1evl(z, _ERF_U)
+    return y
+
+
+def _erfc_outer(z):
+    """Cephes erfc for z >= 1, 0 once e^{-z^2} would underflow.  The
+    exponential is libm's, which numpy's SIMD exp does not always match."""
+    with np.errstate(over="ignore"):
+        e = -z * z
+    live = e >= -_MAXLOG
+    if not live.all():
+        z, e = z[live], e[live]
+    y = np.fromiter(map(math.exp, memoryview(e)), float, count=len(e))
+    p, q = _polevl(z, _ERFC_P), _p1evl(z, _ERFC_Q)
+    far = z >= 8.0
+    if far.any():
+        p[far], q[far] = _polevl(z[far], _ERFC_R), _p1evl(z[far], _ERFC_S)
+    y *= p
+    y /= q
+    if len(y) == len(live):
+        return y
+    out = np.zeros(len(live))
+    out[live] = y
+    return out
+
+
+def _ndtr(a):
+    """Standard normal CDF: Cephes ndtr, branch for branch, so that the
+    values equal scipy.special.ndtr's bit for bit."""
+    a = np.asarray(a, dtype=float)
+    x = (a * _SQRT1_2).ravel()
+    z = np.abs(x)
+    out = np.full_like(x, np.nan)
+    small = z < _SQRT1_2
+    out[small] = 0.5 + 0.5 * _erf_inner(x[small])
+    mid = ~small & (z < 1.0)
+    out[mid] = 0.5 * (1.0 - _erf_inner(z[mid]))
+    # for z >= 6, 0.5 erfc(z) < 1.1e-17 < 2^-54, so 1 - 0.5 erfc(z) rounds
+    # to 1: the upper tail needs no exponential
+    one = (z >= 6.0) & (x > 0.0)
+    big = (z >= 1.0) & ~one
+    out[big] = 0.5 * _erfc_outer(z[big])
+    upper = ~small & ~one & (x > 0.0)
+    out[upper] = 1.0 - out[upper]
+    out[one] = 1.0
+    return out.reshape(a.shape)[()]
 
 
 def _log_sinh_ratio(u):
@@ -170,8 +258,8 @@ def gauss_scale_mixture_model(atoms=None, kappa=None, upper=1.0) -> AnalyticMode
     elif kappa is not None:
         if kappa <= 0 or not 0.0 < upper < 2.0:
             raise ValueError("need kappa > 0 and upper in (0, 2)")
-        from scipy.special import roots_legendre
-        nodes, wts = roots_legendre(64)
+        from numpy.polynomial.legendre import leggauss
+        nodes, wts = leggauss(64)
         at = []
         for j in range(8):
             lo, hi = upper * j / 8.0, upper * (j + 1) / 8.0
@@ -347,6 +435,81 @@ class TrigPolynomial:
             [math.exp(0.5 * k * k) * bk for k, bk in enumerate(self.b, 1)])
 
 
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+_BRENT_MAXITER = 500  # evaluations of f, scipy's default
+
+
+def minimize_bounded(f, lo: float, hi: float, xatol: float):
+    """Minimize the scalar function f on [lo, hi] by Brent's bounded
+    search (Brent 1973, ch. 5): golden-section steps and parabolic
+    interpolation through the three best points.  Returns (x, f(x)).
+
+    The arithmetic is scipy.optimize.minimize_scalar(method="bounded")'s
+    (`_minimize_scalar_bounded`), np.sign included, so x and f(x) are its
+    to the bit.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if np.abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r, e = e, rat
+            if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BRENT_MAXITER:
+            break
+    return xf, fx
+
+
 def _trig_core(name, a0, a, b, c=None):
     poly = TrigPolynomial(a0, a, b)
     poly.check_moments()
@@ -356,11 +519,9 @@ def _trig_core(name, a0, a, b, c=None):
     qv = weighted(ts)
     i = int(np.argmax(qv))
     span = 2.0 * math.pi / 4096
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(lambda x: -float(weighted(x)),
-                          bounds=(ts[i] - span, ts[i] + span), method="bounded",
-                          options={"xatol": 1e-12})
-    q_max = float(-res.fun)
+    _, neg_max = minimize_bounded(lambda x: -float(weighted(x)),
+                                  ts[i] - span, ts[i] + span, xatol=1e-12)
+    q_max = float(-neg_max)
     if q_max <= 0:
         raise ValueError("weighted component never positive; no density constraint")
     c_max = 1.0 / q_max
@@ -466,7 +627,18 @@ def make_model(spec) -> AnalyticModel:
     if spec.kind not in _CONSTRUCTORS:
         raise ValueError(f"unknown model kind {spec.kind!r}; "
                          f"available: {', '.join(sorted(_CONSTRUCTORS))}")
-    return _CONSTRUCTORS[spec.kind](**spec.params)
+    build = _CONSTRUCTORS[spec.kind]
+    if not isinstance(spec.params, Mapping):
+        raise ValueError(f"model {spec.kind!r}: params must be a mapping of names to values")
+    params = inspect.signature(build).parameters
+    for name in spec.params:
+        if name not in params:
+            raise ValueError(f"model {spec.kind!r} has no parameter {name!r}; "
+                             f"its parameters: {', '.join(params) or 'none'}")
+    for name, param in params.items():
+        if param.default is param.empty and name not in spec.params:
+            raise ValueError(f"model {spec.kind!r} needs parameter {name!r}")
+    return build(**spec.params)
 
 
 def mixture_chi2(pi_spec) -> float:

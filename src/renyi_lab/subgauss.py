@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConstraintError, TailDominanceError
 from .grids import (AnalyticModel, GridConfig, GridDensity, _spline, discretize,
                     laplace_eval)
-from .models import TrigPolynomial
+from .models import TrigPolynomial, minimize_bounded
 from .reports import FAILS, HOLDS, INCONCLUSIVE, CheckReport
 
 ZERO_TOL = 1e-8          # A(t) <= ZERO_TOL*(1+t^2) marks the approximate zero set
@@ -267,10 +267,7 @@ def dinf_clt_check(prof: LogLaplaceProfile, samples: int = 8001) -> CheckReport:
     for i0, i1 in _zero_clusters(ts, in_band):
         left = ts[max(i0 - 1, 0)]
         right = ts[min(i1 + 1, len(ts) - 1)]
-        from scipy.optimize import minimize_scalar
-        res = minimize_scalar(lambda t: float(prof.A(t)), bounds=(left, right),
-                              method="bounded", options={"xatol": 1e-11})
-        t_star = float(res.x)
+        t_star = float(minimize_bounded(lambda t: float(prof.A(t)), left, right, 1e-11)[0])
         if float(prof.A(t_star)) > ZERO_TOL * (1.0 + t_star * t_star):
             continue
         a2 = float(prof.A2(t_star))
@@ -314,11 +311,7 @@ def periodic_clt_check(p_coeffs, h: float, samples: int = 16384) -> CheckReport:
         if i0 == 0 or i1 == len(ts) - 1:
             continue  # the mandatory zero at the period endpoints
         left, right = ts[i0 - 1], ts[i1 + 1]
-        from scipy.optimize import minimize_scalar
-        res = minimize_scalar(lambda t: float(poly(t)),
-                              bounds=(left, right), method="bounded",
-                              options={"xatol": 1e-12})
-        t_star = float(res.x)
+        t_star = float(minimize_bounded(lambda t: float(poly(t)), left, right, 1e-12)[0])
         if float(poly(t_star)) > 1e-10 * scale:
             continue
         p2 = float(poly(t_star, deriv=2))

@@ -1,6 +1,7 @@
 import json
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from renyi_lab import (GridConfig, discretize, gaussian_grid, make_model,
@@ -20,6 +21,13 @@ def _model(key):
 def _pn(key, n, half_width, points):
     return normalized_sum_density(_model(key), n,
                                   GridConfig(half_width, points))
+
+
+def same_bits(a, b):
+    """Equal shapes and equal doubles bit for bit (NaN payloads and the
+    sign of zero included)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def model_of(spec):

@@ -251,6 +251,66 @@ for argv in {cases!r}:
     assert proc.returncode == 0, proc.stderr
 
 
+MIXTURE = '{"kind": "gauss_scale_mixture", "params": {"atoms": [[0.5, 0.6], [0.5, 1.4]]}}'
+KINDS = {
+    "normal": {}, "uniform": {}, "bernoulli_sym": {}, "bernoulli_asym": {"p": 0.3},
+    "bernoulli_sum": {"weights": [0.6, 0.8]},
+    "gauss_scale_mixture": {"atoms": [[0.5, 0.6], [0.5, 1.4]]},
+    "power_density": {"d": 2}, "bernoulli_gauss": {"p": 0.2, "beta": 1.127},
+    "trig_periodic": {"a": [4.0, -1.0]}, "sin_power": {}, "counterexample_30_4": {}}
+
+
+def test_every_command_runs_without_scipy():
+    # scipy is a test dependency only: an import finder that refuses it
+    # makes any command that still reaches for it fail
+    kappa = '{"kind": "gauss_scale_mixture", "params": {"kappa": 1.5, "upper": 1.0}}'
+    density_models = ["uniform", SKEWED, '{"kind": "power_density", "params": {"d": 1}}',
+                      MIXTURE]
+    cases = [(["zoo", "list"], 0)]
+    cases += [(["zoo", "--model", json.dumps({"kind": k, "params": v})], 0)
+              for k, v in KINDS.items()]
+    cases += [(["dist", "--model", m, "--n", "2", "--alpha", "0.5,1,2,inf"], 0)
+              for m in density_models]
+    cases += [(["rate", "--model", SKEWED, "--distance", "kl", "--n", "2,4"], 0),
+              (["rate", "--model", "uniform", "--n", "2,4"], 0),
+              (["hermite", "--model", "uniform", "--k", "40"], 0),
+              (["edgeworth", "--gammas", "0,1,0.6,0.4", "--m", "4"], 0),
+              (["check-subgauss", "--model", "sin_power"], 0),
+              (["check-clt-dinf", "--model", "sin_power"], 0),
+              (["check-subgauss", "--model", "counterexample_30_4"], 0),
+              (["check-clt-dinf", "--model", "counterexample_30_4"], 1),
+              (["check-subgauss", "--model", SKEWED], 1),
+              (["check-clt-dinf", "--model", SKEWED], 2),
+              (["dist", "--model", kappa, "--n", "2"], 0)]
+    code = f"""
+import contextlib, io, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is refused: " + name)
+
+sys.meta_path.insert(0, RefuseScipy())
+from renyi_lab.cli import main
+for argv, want in {cases!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        got = main(argv)
+    assert got == want, (argv, got)
+assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_model_parameter_errors_exit_1(capsys):
+    for spec, words in (('{"kind": "bernoulli_asym"}', ("bernoulli_asym", "'p'")),
+                        ('{"kind": "uniform", "params": {"p": 0.3}}', ("uniform", "'p'"))):
+        code, out, err = run(capsys, "zoo", "--model", spec)
+        assert code == 1 and out == ""
+        assert err.startswith("renyi-lab: error: ") and err.count("\n") == 1, err
+        assert all(w in err for w in words), err
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "renyi_lab.cli", "zoo", "list"],
                           capture_output=True, text=True)

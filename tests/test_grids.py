@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 from scipy.signal import fftconvolve
 
 from renyi_lab import (AliasingError, ChainTooLongError, ExperimentConfig,
@@ -19,7 +20,7 @@ from renyi_lab import (AliasingError, ChainTooLongError, ExperimentConfig,
                        pointwise_density_bound_check, run_experiment,
                        sum_densities, wasserstein2)
 from renyi_lab import grids
-from conftest import SKEWED, model_of, pn_of
+from conftest import SKEWED, model_of, pn_of, same_bits
 
 SQRT3 = math.sqrt(3.0)
 
@@ -42,6 +43,16 @@ def test_grid_x_is_cached_and_read_only(uniform_grid):
         x[0] = 0.0
 
 
+def test_grid_log_values_are_cached_and_read_only():
+    p = GridDensity(0.0, 0.5, [0.0, 0.5, 1.5, 0.0])
+    assert "log_values" not in vars(p)
+    lv = p.log_values
+    assert p.log_values is lv
+    assert np.array_equal(lv, [-np.inf, math.log(0.5), math.log(1.5), -np.inf])
+    with pytest.raises(ValueError):
+        lv[1] = 0.0
+
+
 @pytest.mark.parametrize("bad", [-1e-300, np.nan])
 def test_grid_density_refuses_negative_and_nan(bad):
     with pytest.raises(ValueError):
@@ -60,6 +71,24 @@ def test_uniform_moments(uniform_grid):
 def test_discretize_needs_power_of_two(uniform_model):
     with pytest.raises(ValueError):
         discretize(uniform_model, 12.0, 1000)
+
+
+def test_each_n_of_a_sum_samples_the_base_once():
+    base = make_model(SKEWED)
+    calls = []
+    model = grids.AnalyticModel(name="counted", cdf=lambda x: calls.append(1) or base.cdf(x),
+                                cumulants=base.cumulants)
+    cfg = GridConfig(half_width=10.0, points=1024)
+    first = discretize(model, cfg.half_width, cfg.points)
+    first.values[:] = 0.0  # a caller's copy: the next call must not see this
+    again = discretize(model, cfg.half_width, cfg.points)
+    fresh = discretize(make_model(SKEWED), cfg.half_width, cfg.points)
+    assert same_bits(again.values, fresh.values) and again.values.flags.writeable
+    for n in (2, 4):
+        normalized_sum_density(model, n, cfg)
+    assert len(calls) == 1
+    discretize(model, cfg.half_width, 2 * cfg.points)
+    assert len(calls) == 2
 
 
 def test_too_narrow_window():
@@ -209,6 +238,69 @@ def test_spline_matches_scipy_cubic_spline(data):
         assert np.array_equal(o(t), r(t), equal_nan=True), nu
         scalar = o(float(t[0]))
         assert scalar.shape == () and scalar == r(float(t[0])), nu
+
+
+def _solve_banded(dl, d, du, b):
+    ab = np.zeros((3, len(d)))
+    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+    return solve_banded((1, 1), ab, b, check_finite=False)
+
+
+# sizes on both sides of the sequential cut-off and the lane length, up to 2^17
+_SIZES = st.one_of(st.integers(4, 300), st.sampled_from(
+    [grids._GTSV_LANE_MIN - 1, grids._GTSV_LANE_MIN, 4099, 1 << 14, (1 << 14) + 66, 1 << 17]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_SIZES, st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_gtsv_matches_lapack(n, seed, dominant):
+    # a dominant diagonal never interchanges rows; a weak one does, and
+    # `_gtsv` hands the system to its sequential port of dgtsv
+    rng = np.random.default_rng(seed)
+    dl, du, b = rng.normal(size=n - 1), rng.normal(size=n - 1), rng.normal(size=n)
+    d = rng.normal(size=n) + (np.sign(rng.normal(size=n)) * 3.0 if dominant else 0.0)
+    assert same_bits(grids._gtsv(dl, d, du, b), _solve_banded(dl, d, du, b))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_SIZES, st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_spline_solve_matches_scipy_on_zero_runs_and_irregular_nodes(n, seed, uniform):
+    # uniform nodes with zero runs: the slopes decay through the
+    # subnormals, so lanes that start inside a run are rerun; irregular
+    # nodes: dgtsv interchanges rows
+    rng = np.random.default_rng(seed)
+    if uniform:
+        x = -3.0 + 0.01 * (np.arange(n) + 0.5)
+        y = np.exp(-0.5 * x * x) * (1.0 + 0.1 * np.sin(7.0 * x))
+        for _ in range(3):
+            lo = int(rng.integers(0, n))
+            y[lo:lo + int(rng.integers(1, 3000))] = 0.0
+    else:
+        x = np.cumsum(rng.uniform(0.01, 1.0, n))
+        y = rng.normal(size=n)
+    t = np.concatenate([x, 0.5 * (x[1:] + x[:-1])])
+    ref, ours = CubicSpline(x, y), grids._spline(x, y)
+    for nu in (0, 1):
+        r = ref.derivative(nu) if nu else ref
+        o = ours.derivative(nu) if nu else ours
+        assert same_bits(o(t), r(t)), nu
+
+
+def test_gtsv_reruns_lanes_and_falls_back(monkeypatch):
+    reruns, fallbacks = [], []
+    settle, sequential = grids._settle, grids._gtsv_sequential
+    monkeypatch.setattr(grids, "_settle", lambda *a: reruns.append(settle(*a)) or reruns[-1])
+    monkeypatch.setattr(grids, "_gtsv_sequential",
+                        lambda *a: fallbacks.append(len(a[1])) or sequential(*a))
+    n = 20000
+    x = 0.01 * (np.arange(n) + 0.5)
+    y = np.exp(-x)
+    y[5000:9000] = 0.0  # exact slopes fall through the subnormals over ~560 nodes
+    assert same_bits(grids._spline(x, y)(x), CubicSpline(x, y)(x))
+    assert sum(reruns) > 0 and fallbacks == []
+    x = np.cumsum(np.random.default_rng(1).uniform(0.01, 1.0, n))
+    assert same_bits(grids._spline(x, y)(x), CubicSpline(x, y)(x))
+    assert fallbacks == [n]
 
 
 @pytest.mark.parametrize("x, y", [

@@ -38,3 +38,18 @@ def test_imports_follow_layer_order():
     upward = [(p.stem, target) for p in modules for target in _package_imports(p)
               if LAYERS[target] >= LAYERS[p.stem]]
     assert upward == []
+
+
+def _imported_modules(path: Path):
+    """Top-level names of every module imported anywhere in the file."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            yield node.module.split(".")[0]
+        elif isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test dependency: the package runs on numpy and the stdlib
+    src = Path(renyi_lab.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "scipy" in _imported_modules(p)] == []

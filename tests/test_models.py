@@ -1,13 +1,20 @@
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
+from scipy.special import ndtr, roots_legendre
 
 from renyi_lab import (ConstraintError, ModelSpec, MODEL_DOCS, gaussian_grid,
                        make_model, mixture_chi2, mixture_finiteness,
                        pearson_vajda, sin_power_coefficients)
-from conftest import model_of, pn_of
+from renyi_lab import models
+from renyi_lab.models import TrigPolynomial, minimize_bounded
+from conftest import model_of, pn_of, same_bits
 
 
 def test_make_model_kinds_and_errors():
@@ -196,3 +203,87 @@ def test_mixture_finiteness_rule():
         mixture_finiteness(0.5, 0.0, 2)
     with pytest.raises(ValueError):
         mixture_finiteness(0.5, 0.1, 0)
+
+
+def test_make_model_names_bad_parameters():
+    with pytest.raises(ValueError, match=r"'bernoulli_asym' needs parameter 'p'"):
+        make_model({"kind": "bernoulli_asym"})
+    with pytest.raises(ValueError, match=r"'normal' has no parameter 'sigma'"):
+        make_model({"kind": "normal", "params": {"sigma": 2.0}})
+    with pytest.raises(ValueError, match=r"'normal': params must be a mapping"):
+        make_model(ModelSpec("normal", [1.0]))
+    # any mapping binds, as it did before the parameter check
+    assert make_model(ModelSpec("normal", MappingProxyType({"sigma2": 2.0}))).cumulants == (0.0, 2.0)
+
+
+def test_ndtr_matches_scipy_bitwise():
+    # a dense grid, and each branch edge of Cephes ndtr with its neighbours:
+    # |a| = 1 (erf / erfc), sqrt 2 (erfc's own erf branch), 8 sqrt 2 (the
+    # second rational), and the underflow of exp(-a^2 / 2)
+    edges = np.array([0.0, 1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0),
+                      math.sqrt(2.0 * models._MAXLOG), 40.0, 1e300])
+    edges = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+    a = np.concatenate([np.linspace(-40.0, 40.0, 400001), edges, -edges,
+                        [np.inf, -np.inf, np.nan, -0.0]])
+    assert same_bits(models._ndtr(a), ndtr(a))
+    block = a[:256].reshape(64, 4)
+    assert same_bits(models._ndtr(block), ndtr(block))
+    assert type(models._ndtr(0.3)) is np.float64 and models._ndtr(0.3) == ndtr(0.3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=50))
+def test_ndtr_property(values):
+    a = np.asarray(values)
+    assert same_bits(models._ndtr(a), ndtr(a))
+
+
+def _scipy_bounded(f, lo, hi, xatol):
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    return res.x, res.fun
+
+
+def test_minimize_bounded_matches_scipy_on_trig_components():
+    # the three searches of the package: the maximum of the weighted
+    # component (c_max), and zeros of P and of A(t) = t^2/2 - K(t)
+    polys = [TrigPolynomial(*sin_power_coefficients(m), []) for m in (2, 4, 6, 8)]
+    polys += [TrigPolynomial(*model_of(k).meta["trig"][:3])
+              for k in ("counterexample_30_4", {"kind": "trig_periodic",
+                                                "params": {"a": [4.0, -1.0]}})]
+    K = model_of("counterexample_30_4").log_laplace
+    for poly in polys:
+        weighted = poly.weighted()
+        ts = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+        i = int(np.argmax(weighted(ts)))
+        span = 2.0 * math.pi / 4096
+        searches = [(lambda x: -float(weighted(x)), ts[i] - span, ts[i] + span, 1e-12)]
+        for lo, hi in ((0.4, 0.7), (1.2, 1.9), (2.5, 2.7)):
+            searches += [(lambda t: float(poly(t)), lo, hi, 1e-12),
+                         (lambda t: float(0.5 * t * t - K(t)), lo, hi, 1e-11)]
+        for args in searches:
+            assert same_bits(minimize_bounded(*args), _scipy_bounded(*args))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4), st.floats(-10.0, 10.0),
+       st.floats(1e-9, 20.0), st.floats(-14.0, -2.0))
+def test_minimize_bounded_property(c, lo, width, log_tol):
+    f = lambda x: float(c[0] * np.sin(c[1] * x) + c[2] * (x - c[3]) ** 2 + 0.1 * x ** 3)
+    args = (lo, lo + width, 10.0 ** log_tol)
+    assert same_bits(minimize_bounded(f, *args), _scipy_bounded(f, *args))
+
+
+def test_kappa_mixture_moves_by_the_rule_only():
+    # the 64-point Gauss-Legendre rule comes from numpy; scipy's nodes and
+    # weights differ from it by ~1e-12, and so does the mixture
+    model = model_of({"kind": "gauss_scale_mixture", "params": {"kappa": 1.5, "upper": 1.0}})
+    nodes, wts = roots_legendre(64)
+    at = []
+    for j in range(8):
+        lo, hi = j / 8.0, (j + 1) / 8.0
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        at += [(w * half * 1.5 * (mid + half * z) ** 0.5, mid + half * z) for z, w in zip(nodes, wts)]
+    ref = make_model({"kind": "gauss_scale_mixture", "params": {"atoms": at}})
+    x = np.linspace(-8.0, 8.0, 161)
+    assert np.allclose(model.cdf(x), ref.cdf(x), rtol=1e-11, atol=1e-14)
+    assert np.allclose(model.density(x), ref.density(x), rtol=1e-11, atol=1e-14)
