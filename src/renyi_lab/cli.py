@@ -52,6 +52,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown distance {self.distance!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
+        if math.isnan(self.alpha):
+            raise ValueError("alpha must not be NaN")
 
 
 class _Parser(argparse.ArgumentParser):

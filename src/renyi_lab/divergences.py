@@ -11,7 +11,9 @@ truncated number.  Results carry a geometric tail estimate.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +21,10 @@ from .errors import OscillationError
 from .grids import GridDensity
 
 _HUGE = 1e290
+_LOG_HUGE = math.log(_HUGE)
 _DECAY_REL = 1e-10
+# the GridDensity attribute where renyi_tsallis keeps a pair's support
+_PAIR_SLOT = "_power_ratio_support"
 
 
 @dataclass(frozen=True)
@@ -52,39 +57,80 @@ def _tail_estimate(g: np.ndarray, step: float) -> float:
     return tb
 
 
-def _power_ratio(w, q, alpha, keep=None, logs=None):
-    """g = w^alpha q^(1-alpha) on the cells with w > 0, q > 0 (and `keep`),
-    zero elsewhere and full length, so that every caller's sum groups
-    alike; None if alpha > 1 and w charges a q-null cell, if a log g
-    exceeds log _HUGE, or if g has not decayed at a window edge.  `logs`,
-    when given, holds log w and log q over the whole window, which are
-    then indexed instead of taken afresh."""
+class _Support(NamedTuple):
+    """The order-free part of the power-ratio integrand of w against q."""
+    size: int             # length of the window
+    cells: np.ndarray     # indices where w > 0 and q > 0 (and `keep`)
+    q_null: bool          # w charges a cell where q == 0
+    log_w: np.ndarray     # log w on `cells`
+    log_q: np.ndarray     # log q on `cells`
+
+
+def _support(w, q, keep=None, logs=None) -> _Support:
+    """The cells, q-null flag and logs that `_power_ratio` needs for every
+    order.  `logs`, when given, holds log w and log q over the whole
+    window, which are then indexed instead of taken afresh."""
     pos = w > 0.0 if keep is None else keep & (w > 0.0)
-    if alpha > 1 and np.any(pos & (q == 0.0)):
+    cells = np.flatnonzero(pos & (q > 0.0))
+    log_w, log_q = ((np.log(w[cells]), np.log(q[cells])) if logs is None
+                    else (logs[0][cells], logs[1][cells]))
+    return _Support(len(w), cells, bool(np.any(pos & (q == 0.0))), log_w, log_q)
+
+
+def _power_ratio(s: _Support, alpha):
+    """g = w^alpha q^(1-alpha) on the support's cells, zero elsewhere and
+    full length, so that every caller's sum groups alike; None if
+    alpha > 1 and w charges a q-null cell, if a log g exceeds log _HUGE,
+    or if g has not decayed at a window edge.  Only the order-dependent
+    work is done here, so one support serves a whole order scan."""
+    if alpha > 1 and s.q_null:
         return None
-    m = pos & (q > 0.0)
-    log_w, log_q = (np.log(w[m]), np.log(q[m])) if logs is None else (logs[0][m], logs[1][m])
-    lg = alpha * log_w + (1.0 - alpha) * log_q
-    if np.any(lg > math.log(_HUGE)):
+    lg = alpha * s.log_w + (1.0 - alpha) * s.log_q
+    if np.any(lg > _LOG_HUGE):
         return None
-    g = np.zeros_like(w)
-    g[m] = np.exp(lg)
+    g = np.zeros(s.size)
+    g[s.cells] = np.exp(lg)
     peak = g.max()
     if peak > 0 and max(g[0], g[-1]) > _DECAY_REL * peak:
         return None
     return g
 
 
+def _pair_support(p: GridDensity, q: GridDensity) -> _Support:
+    """The support of p against q, kept on p for the last q it was paired
+    with.  The pair is matched by identity, as `GridDensity.log_values`
+    is; the slot holds q only through a weak reference, so neither
+    density lives longer for it, and a thread that races another on the
+    same pair at worst builds the same support twice."""
+    slot = vars(p).get(_PAIR_SLOT)
+    if slot is not None and slot[0]() is q:
+        return slot[1]
+    s = _support(p.values, q.values, logs=(p.log_values, q.log_values))
+    vars(p)[_PAIR_SLOT] = (weakref.ref(q), s)
+    return s
+
+
+def _finite_order(alpha) -> None:
+    if not math.isfinite(alpha):
+        hint = "; D_inf and T_inf come from infinite_order" if alpha == math.inf else ""
+        raise ValueError(f"alpha must be finite, got {alpha}{hint}")
+
+
 def renyi_tsallis(p: GridDensity, q: GridDensity, alpha: float):
     """Renyi divergence D_alpha and Tsallis distance T_alpha of p from q.
 
     Returns a pair of DivergenceResult.  D = log(I)/(alpha-1) and
-    T = (I-1)/(alpha-1) with I = int (p/q)^alpha q.
+    T = (I-1)/(alpha-1) with I = int (p/q)^alpha q.  The order-free part
+    of the integrand (the cells where p > 0 and q > 0, whether p charges
+    a q-null cell, and log p and log q on the cells) is built once per
+    (p, q) pair and reused by every later order on the same pair, so an
+    order scan pays only the order-dependent arithmetic.
     """
+    _finite_order(alpha)
     if alpha <= 0 or alpha == 1.0:
         raise ValueError("alpha must be positive and different from 1")
     cutoff = _window_radius(p)
-    g = _power_ratio(p.values, q.values, alpha, logs=(p.log_values, q.log_values))
+    g = _power_ratio(_pair_support(p, q), alpha)
     if g is None:
         res = DivergenceResult(math.inf, math.inf, cutoff)
         return res, res
@@ -115,9 +161,10 @@ def tv_hellinger(p: GridDensity, q: GridDensity):
 
 def pearson_vajda(p: GridDensity, q: GridDensity, alpha: float) -> float:
     """chi_alpha = int |p/q - 1|^alpha q for alpha >= 1; chi_1 equals TV."""
+    _finite_order(alpha)
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
-    g = _power_ratio(np.abs(p.values - q.values), q.values, alpha)
+    g = _power_ratio(_support(np.abs(p.values - q.values), q.values), alpha)
     if g is None:
         return math.inf
     return float(p.step * g.sum())

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import _power_ratio, _window_radius
+from .divergences import _power_ratio, _support, _window_radius
 from .grids import GridDensity, MomentSummary, gaussian_grid
 from .hermite import hermite_coefficients
 
@@ -167,8 +167,8 @@ def truncated_tsallis(p_n: GridDensity, alpha: float, s: int, n: int) -> float:
     m_cut = math.sqrt(2.0 * (s - 1) * math.log(n))
     if _window_radius(p_n) < m_cut:
         raise ValueError(f"grid too narrow: needs |x| up to {m_cut:.3g}")
-    g = _power_ratio(p_n.values, gaussian_grid(p_n).values, alpha,
-                     keep=np.abs(p_n.x) <= m_cut)
+    g = _power_ratio(_support(p_n.values, gaussian_grid(p_n).values,
+                              keep=np.abs(p_n.x) <= m_cut), alpha)
     if g is None:
         return math.inf
     return float(p_n.step * g.sum() - 1.0)

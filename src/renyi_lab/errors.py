@@ -19,7 +19,13 @@ class ChainTooLongError(LabError):
 
 
 class TailDominanceError(LabError):
-    """Integrand is still significant at the grid boundary."""
+    """Integrand is still significant at the grid boundary.  `edge` names
+    the failing boundary ("left", "right" or "both") where the raiser
+    knows it, None otherwise."""
+
+    def __init__(self, message: str, edge: str | None = None):
+        super().__init__(message)
+        self.edge = edge
 
 
 class SeriesError(LabError):

@@ -42,7 +42,6 @@ from .errors import (AliasingError, ChainTooLongError, GridTooNarrowError,
                      TailDominanceError)
 from .reports import FAILS, HOLDS, CheckReport
 
-MASS_TOL = 1e-8
 ALIAS_TOL = 1e-14
 _TRIM_FLOOR = 1e-280
 _ENTROPY_FLOOR = 1e-300
@@ -169,8 +168,7 @@ def _samples(model: AnalyticModel, half_width: float, points: int) -> np.ndarray
     return vals
 
 
-def discretize(model: AnalyticModel, half_width: float, points: int,
-               mass_tol: float = MASS_TOL) -> GridDensity:
+def discretize(model: AnalyticModel, half_width: float, points: int) -> GridDensity:
     """Sample a model onto a symmetric midpoint grid and renormalize.
 
     Uses exact cell averages (F(b)-F(a))/step when the model has a
@@ -709,12 +707,16 @@ def entropy_power(p: GridDensity) -> float:
 
 
 def laplace_eval(p: GridDensity, t: float) -> float:
-    """E e^{tX} by quadrature, with a decay check at the window edge."""
+    """E e^{tX} by quadrature, with a decay check at the window edge; the
+    TailDominanceError names the edge that failed it."""
     w = p.values * np.exp(float(t) * p.x)
     peak = w.max()
-    if peak > 0 and max(w[0], w[-1]) > 1e-12 * peak:
+    gate = 1e-12 * peak
+    if peak > 0 and max(w[0], w[-1]) > gate:
+        left, right = bool(w[0] > gate), bool(w[-1] > gate)
         raise TailDominanceError(
-            f"e^(tx) p(x) not decayed at the boundary for t = {t:g}")
+            f"e^(tx) p(x) not decayed at the boundary for t = {t:g}",
+            edge="both" if left and right else "left" if left else "right")
     return float(p.step * w.sum())
 
 

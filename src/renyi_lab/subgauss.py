@@ -70,14 +70,62 @@ def _fd_second(K, t, h=_FD_H):
             + 16 * K(t - h) - K(t - 2 * h)) / (12.0 * h * h)
 
 
+def _decayed_run(p: GridDensity, ts: np.ndarray):
+    """The run of nodes of ts where `laplace_eval` passes its decay
+    gate, and log E e^{tX} on it (the run is one; see `profile`).
+
+    The search starts at the node nearest 0, halves the candidate range
+    on the side that a failed edge rules out until one node passes, then
+    widens from it up to the first failure on each side; with 0 inside a
+    decayed range that is one failure per end.
+    """
+    ks = {}
+    lo, hi = 0, len(ts) - 1          # the run lies inside ts[lo:hi + 1]
+    i = int(np.argmin(np.abs(ts)))
+
+    def failed_edge(j):
+        try:
+            ks[j] = math.log(laplace_eval(p, float(ts[j])))
+        except TailDominanceError as exc:
+            return exc.edge
+        return None
+
+    while True:
+        edge = failed_edge(i)
+        if edge is None:
+            break
+        if edge == "right":
+            hi = i - 1
+        elif edge == "left":
+            lo = i + 1
+        if edge == "both" or lo > hi:
+            return ts[:0], []
+        i = (lo + hi) // 2
+    a = b = i
+    while a > lo and failed_edge(a - 1) is None:
+        a -= 1
+    while b < hi and failed_edge(b + 1) is None:
+        b += 1
+    return ts[a:b + 1], [ks[j] for j in range(a, b + 1)]
+
+
 def profile(model: AnalyticModel, t_range=(-40.0, 40.0),
             samples: int = 2001) -> LogLaplaceProfile:
     """Build the log-Laplace profile of a model.
 
     Closed-form path when the model carries log_laplace; otherwise K is
-    tabulated from the grid density on the subrange of t_range where the
-    tilted integrand still decays inside the window, and interpolated by
-    a cubic spline (tail classification then stays "unknown").
+    tabulated from the grid density at the nodes of
+    linspace(t_range, samples) where the tilted integrand still decays
+    inside the window, and interpolated by a cubic spline (tail
+    classification then stays "unknown").
+
+    Those nodes form one run.  With w_i = e^{t x_i} p_i, log(w_N / max w)
+    is the minimum over i of t (x_N - x_i) + log p_N - log p_i, a minimum
+    of nondecreasing functions of t (x_N >= x_i): the right-edge ratio
+    never falls as t grows, and the left-edge ratio likewise never rises.
+    A right-edge failure at t fails every larger t and a left-edge one
+    every smaller t, so only the run and the failing node at each of its
+    ends are evaluated.
     """
     lo, hi = float(t_range[0]), float(t_range[1])
     if lo >= hi:
@@ -97,16 +145,10 @@ def profile(model: AnalyticModel, t_range=(-40.0, 40.0),
             trig=model.meta.get("trig"),
             cumulants=model.cumulants)
     p = discretize(model, GridConfig().half_width, GridConfig().points)
-    ts, ks = [], []
-    for t in np.linspace(lo, hi, samples):
-        try:
-            ks.append(math.log(laplace_eval(p, float(t))))
-            ts.append(float(t))
-        except TailDominanceError:
-            continue
+    ts, ks = _decayed_run(p, np.linspace(lo, hi, samples))
     if len(ts) < 10:
         raise ValueError(f"Laplace transform of {model.name!r} not evaluable on range")
-    spline = _spline(np.asarray(ts), np.asarray(ks))
+    spline = _spline(ts, np.asarray(ks))
     sigma2 = model.variance
     if sigma2 is None:
         sigma2 = float(spline.derivative(2)(0.0))

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from renyi_lab.cli import main
+from renyi_lab.cli import ExperimentConfig, main
+from renyi_lab.models import ModelSpec
 
 SKEWED = '{"kind": "bernoulli_gauss", "params": {"p": 0.2, "beta": 1.127}}'
 
@@ -87,6 +88,38 @@ def test_rate_renyi_constant_scales_with_alpha(capsys):
     _, renyi_inf, _ = run(capsys, *argv, "--distance", "renyi", "--alpha-value", "inf")
     _, tinf, _ = run(capsys, *argv, "--distance", "tinf")
     assert renyi_inf == tinf and ",nan,nan" in tinf
+
+
+def test_rate_renyi_csv_same_for_any_thread_count(tmp_path, capsys, monkeypatch):
+    # each pool job builds its own (p, q) pair; the supports kept on them
+    # for the order scan must not leak between jobs
+    argv = ["rate", "--model", "uniform", "--distance", "renyi", "--alpha-value", "3",
+            "--n", "4,8,16,32"]
+    outs = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("RENYI_LAB_THREADS", threads)
+        path = tmp_path / f"t{threads}.csv"
+        assert main(argv + ["--out", str(path)]) == 0
+        outs.append(path.read_bytes())
+    assert outs[0] == outs[1]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--model", "uniform", "--n", "2", "--alpha", "2,nan"],
+    ["rate", "--model", "uniform", "--distance", "renyi", "--alpha-value", "nan", "--n", "2,4"],
+])
+def test_nan_order_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("renyi-lab: error:") and err.count("\n") == 1
+
+
+def test_experiment_config_refuses_nan_alpha():
+    with pytest.raises(ValueError, match="NaN"):
+        ExperimentConfig(model=ModelSpec("uniform", {}), distance="renyi",
+                         n_values=(2, 4), alpha=math.nan)
 
 
 def test_rate_refuses_oversized_chain(capsys):

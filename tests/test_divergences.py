@@ -1,4 +1,7 @@
 import math
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
@@ -10,8 +13,9 @@ from renyi_lab import (GridDensity, entropy_young, gaussian_grid,
                        infinite_order, kl, orlicz_norm, pearson_vajda,
                        relative_fisher, renyi_tsallis, truncated_tsallis,
                        tv_hellinger, wasserstein2)
-from renyi_lab.divergences import _window_radius
-from conftest import model_of, pn_of
+from renyi_lab.divergences import (_PAIR_SLOT, _pair_support, _power_ratio,
+                                   _tail_estimate, _window_radius)
+from conftest import SKEWED, model_of, pn_of, same_bits
 
 ALPHAS = (0.5, 1.5, 2.0, 3.0)
 
@@ -219,7 +223,10 @@ def _gate_case(normal_grid, case):
     return p, GridDensity(normal_grid.origin, normal_grid.step, q)
 
 
-@pytest.mark.parametrize("case", ["q-null cell", "past _HUGE", "undecayed edge"])
+GATE_CASES = ["q-null cell", "past _HUGE", "undecayed edge"]
+
+
+@pytest.mark.parametrize("case", GATE_CASES)
 @pytest.mark.parametrize("which", ["renyi_tsallis", "pearson_vajda"])
 def test_power_ratio_gates(normal_grid, which, case):
     p, q = _gate_case(normal_grid, case)
@@ -229,6 +236,127 @@ def test_power_ratio_gates(normal_grid, which, case):
         assert math.isinf(d.tail_bound)
     else:
         assert pearson_vajda(p, q, 2.0) == math.inf
+
+
+# the 64 orders of the seed-0 D_alpha scan in perfbench's analytics pass
+SCAN_ORDERS = [(i + 0.5) * 8.0 / 64 for i in range(64)]
+SCAN_MODELS = [SKEWED, "uniform", {"kind": "power_density", "params": {"d": 1}},
+               {"kind": "gauss_scale_mixture", "params": {"atoms": [[0.5, 0.6], [0.5, 1.4]]}}]
+
+
+def _per_call_integrand(p, q, alpha):
+    """renyi_tsallis's integrand as it was computed before a pair's
+    support was shared across orders: masks, q-null flag and gathered
+    logs on every call."""
+    w, qv = p.values, q.values
+    pos = w > 0.0
+    if alpha > 1 and np.any(pos & (qv == 0.0)):
+        return None
+    m = pos & (qv > 0.0)
+    lg = alpha * p.log_values[m] + (1.0 - alpha) * q.log_values[m]
+    if np.any(lg > math.log(1e290)):
+        return None
+    g = np.zeros_like(w)
+    g[m] = np.exp(lg)
+    peak = g.max()
+    if peak > 0 and max(g[0], g[-1]) > 1e-10 * peak:
+        return None
+    return g
+
+
+def _assert_scan_matches_per_call(p, q, orders):
+    for alpha in orders:
+        ref = _per_call_integrand(p, q, alpha)
+        g = _power_ratio(_pair_support(p, q), alpha)
+        d, t = renyi_tsallis(p, q, alpha)
+        if ref is None:
+            assert g is None and math.isinf(d.value) and math.isinf(t.value)
+            continue
+        assert same_bits(g, ref)
+        integral = float(p.step * ref.sum())
+        inv = 1.0 / (alpha - 1.0)
+        assert d.value == max(inv * math.log(integral), 0.0)
+        assert t.value == max(inv * (integral - 1.0), 0.0)
+        assert t.tail_bound == abs(inv) * _tail_estimate(ref, p.step)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+@pytest.mark.parametrize("spec", SCAN_MODELS, ids=["skewed", "uniform", "power", "mixture"])
+def test_order_scan_bitwise_per_call(spec, n):
+    p = pn_of(spec, n)
+    _assert_scan_matches_per_call(p, gaussian_grid(p), SCAN_ORDERS)
+
+
+@pytest.mark.parametrize("case", GATE_CASES)
+def test_order_scan_bitwise_per_call_on_gated_pairs(normal_grid, case):
+    # each gate fires at the orders where the per-call integrand fired it,
+    # with the support built by the scan's first order
+    _assert_scan_matches_per_call(*_gate_case(normal_grid, case), SCAN_ORDERS)
+
+
+def _fresh(g):
+    return GridDensity(g.origin, g.step, g.values.copy())
+
+
+def test_pair_support_follows_interleaved_pairs():
+    p1 = pn_of("uniform", 2)
+    p2 = pn_of({"kind": "power_density", "params": {"d": 1}}, 1)
+    q1, q2 = gaussian_grid(p1), gaussian_grid(p2)
+    wide = gaussian_grid(p1, var=1.2)
+    for p, q in [(p1, q1), (p2, q2), (p1, q1), (p1, wide), (p1, q1), (p2, q1)]:
+        for alpha in (0.5, 2.0, 3.5):
+            got = renyi_tsallis(p, q, alpha)
+            want = renyi_tsallis(_fresh(p), _fresh(q), alpha)
+            assert got == want
+        # the slot follows the pair of the last call
+        assert vars(p)[_PAIR_SLOT][0]() is q
+
+
+def test_pair_support_holds_no_reference(normal_grid):
+    p, q = _fresh(pn_of("uniform", 2)), _fresh(normal_grid)
+    before = renyi_tsallis(p, q, 2.0)
+    assert _PAIR_SLOT in vars(p)
+    p_ref, q_ref = weakref.ref(p), weakref.ref(q)
+    del q
+    assert q_ref() is None
+    # a later q is never taken for the freed one, whatever its id
+    q = gaussian_grid(p, var=1.1)
+    assert renyi_tsallis(p, q, 2.0) == renyi_tsallis(_fresh(p), _fresh(q), 2.0)
+    assert renyi_tsallis(p, q, 2.0) != before
+    q_ref = weakref.ref(q)
+    del p, q
+    assert p_ref() is None and q_ref() is None
+
+
+def test_pair_support_under_racing_threads(normal_grid):
+    # threads that share p and alternate its q race on the support slot;
+    # a support handed to the wrong pair changes the value
+    p = pn_of("uniform", 4)
+    qs = [normal_grid, gaussian_grid(p, var=1.2)]
+    want = [renyi_tsallis(_fresh(p), _fresh(q), 2.5) for q in qs]
+
+    def work(k):
+        return all(renyi_tsallis(p, qs[(k + i) % 2], 2.5) == want[(k + i) % 2]
+                   for i in range(200))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(work, k) for k in range(8)]
+            done, pending = wait(futures, timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not pending and all(f.result() for f in done)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_non_finite_orders_raise(normal_grid, alpha):
+    p = pn_of("uniform", 2)
+    for fn in (renyi_tsallis, pearson_vajda):
+        with pytest.raises(ValueError, match="finite") as info:
+            fn(p, normal_grid, alpha)
+        assert ("infinite_order" in str(info.value)) == (alpha == math.inf)
 
 
 def test_truncated_tsallis_ignores_q_null_outside_window():

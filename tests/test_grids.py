@@ -433,8 +433,11 @@ def test_laplace_eval_uniform(uniform_grid):
 
 
 def test_laplace_decay_gate(normal_grid):
-    with pytest.raises(TailDominanceError):
-        laplace_eval(normal_grid, 25.0)
+    # the error names the edge that failed the gate
+    for t, edge in ((25.0, "right"), (-25.0, "left")):
+        with pytest.raises(TailDominanceError) as info:
+            laplace_eval(normal_grid, t)
+        assert info.value.edge == edge
 
 
 def test_wasserstein_shift(normal_grid):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,13 +6,15 @@ import pytest
 
 from renyi_lab import (AnalyticModel, ConstraintError, TailDominanceError,
                        bernoulli_log_laplace, bernoulli_subgauss_constant,
-                       convolve, dinf_clt_check, esscher, esscher_stats,
+                       convolve, dinf_clt_check, discretize, esscher, esscher_stats,
                        esscher_variance_lower_bound, infinite_order,
                        gaussian_grid, laplace_eval, moment_summary,
                        periodic_clt_check, profile, quartic_classify,
                        renyi_tsallis, separation_check, sin_power_coefficients,
                        strict_subgauss_check)
-from conftest import model_of, pn_of
+from renyi_lab.grids import _spline
+from renyi_lab.subgauss import _decayed_run
+from conftest import SKEWED, model_of, pn_of, same_bits
 
 STRICT_MODELS = [
     "normal",
@@ -90,6 +93,88 @@ def test_dinf_numeric_only_inconclusive():
                              cumulants=base.cumulants)
     report = dinf_clt_check(profile(stripped, t_range=(-3.0, 3.0)))
     assert report.verdict == "inconclusive"
+
+
+# every zoo member with a density
+DENSITY_ZOO = [
+    "normal", "uniform", SKEWED, "sin_power", "counterexample_30_4",
+    {"kind": "gauss_scale_mixture", "params": {"atoms": [[0.5, 0.6], [0.5, 1.4]]}},
+    {"kind": "gauss_scale_mixture", "params": {"kappa": 1.5, "upper": 1.0}},
+    {"kind": "power_density", "params": {"d": 1}},
+    {"kind": "power_density", "params": {"d": 2}},
+    {"kind": "power_density", "params": {"d": 3}},
+    {"kind": "trig_periodic", "params": {"a": [4.0, -1.0]}},
+]
+
+
+def _full_scan(p, t_range, samples=2001):
+    """The node table of the numeric profile as a scan of every t builds
+    it: the nodes whose Laplace transform passes the decay gate."""
+    ts, ks = [], []
+    for t in np.linspace(*t_range, samples):
+        try:
+            ks.append(math.log(laplace_eval(p, float(t))))
+            ts.append(float(t))
+        except TailDominanceError:
+            continue
+    return np.asarray(ts), np.asarray(ks)
+
+
+# a normal centred at 8 has not decayed at the right edge at t = 0: the
+# search must bisect towards t < 0 before it finds the decayed run
+SHIFTED = AnalyticModel(name="shifted normal",
+                        density=lambda x: np.exp(-0.5 * (x - 8.0) ** 2) / math.sqrt(2 * math.pi))
+# the default range on every member, ranges without 0, and ranges on
+# which fewer than ten nodes pass
+PROFILE_CASES = ([(spec, (-40.0, 40.0)) for spec in [*DENSITY_ZOO, SHIFTED]]
+                 + [(spec, t_range) for spec in (SKEWED, {"kind": "power_density", "params": {"d": 2}})
+                    for t_range in ((2.0, 30.0), (-35.0, -0.7), (5.0, 30.0))]
+                 + [(SHIFTED, (-30.0, -2.0)), (SHIFTED, (-1.0, 30.0))])
+
+
+def _case_id(v):
+    if isinstance(v, tuple):
+        return "{:g},{:g}".format(*v)
+    return v if isinstance(v, str) else getattr(v, "name", None) or v["kind"]
+
+
+@pytest.mark.parametrize("spec, t_range", PROFILE_CASES, ids=_case_id)
+def test_numeric_profile_matches_full_scan(spec, t_range):
+    model = spec if isinstance(spec, AnalyticModel) else model_of(spec)
+    model = dataclasses.replace(model, log_laplace=None)
+    p = discretize(model, 12.0, 1 << 14)
+    ref_ts, ref_ks = _full_scan(p, t_range)
+    ts, ks = _decayed_run(p, np.linspace(*t_range, 2001))
+    assert same_bits(ts, ref_ts) and same_bits(ks, ref_ks)
+    if len(ref_ts) < 10:
+        with pytest.raises(ValueError, match="not evaluable"):
+            profile(model, t_range)
+        return
+    spline = profile(model, t_range).K
+    ref = _spline(ref_ts, ref_ks)
+    assert same_bits(spline.x, ref.x)
+    assert all(same_bits(c, r) for c, r in zip(spline.coefs, ref.coefs, strict=True))
+
+
+def test_numeric_profile_evaluates_the_decayed_run_only(monkeypatch):
+    import renyi_lab.subgauss as sg
+    calls = []
+    monkeypatch.setattr(sg, "laplace_eval", lambda p, t: calls.append(t) or laplace_eval(p, t))
+    prof = profile(dataclasses.replace(model_of(SKEWED), log_laplace=None))
+    # the run reaches the range's right end, so only its left end fails
+    assert prof.t_max == 40.0 and len(prof.K.x) == len(calls) - 1 == 1225
+
+
+def test_numeric_profile_refuses_undecayed_density():
+    # a flat density peaks at both window edges, so no t passes the gate
+    flat = AnalyticModel(name="flat", density=lambda x: np.full_like(x, 1.0 / 24.0))
+    p = discretize(flat, 12.0, 1 << 14)
+    assert len(_full_scan(p, (-40.0, 40.0))[0]) == 0
+    with pytest.raises(TailDominanceError) as info:
+        laplace_eval(p, 0.0)
+    assert info.value.edge == "both"
+    with pytest.raises(ValueError, match="not evaluable on range"):
+        profile(flat)
 
 
 def test_periodic_clt_check_sin4():
