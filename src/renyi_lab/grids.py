@@ -15,9 +15,9 @@ transform per squaring).  The pass multiplies each new power into every
 pending n with that bit set, lowest bit first, and yields n's product as
 soon as its top bit is in; a squaring drops its input after the forward
 transform, so a power lives only while a pending product or the consumer
-of a yielded one needs it.  p_n is the product resampled onto the
-requested grid by a cubic spline fitted on the chain nodes around the
-target window.  A pass whose longest product would exceed
+of a yielded one needs it.  p_n (like `gaussian_smooth`'s lattice) is
+resampled onto the requested grid by a cubic spline fitted on the nodes
+around the target window.  A pass whose longest product would exceed
 CHAIN_MAX_POINTS is refused before any transform runs.
 
 The transforms are numpy.fft's and the spline is `_spline`, a port of
@@ -46,8 +46,6 @@ ALIAS_TOL = 1e-14
 _TRIM_FLOOR = 1e-280
 _ENTROPY_FLOOR = 1e-300
 
-INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
 # longest array a convolution chain may produce (2^25 doubles = 256 MiB)
 CHAIN_MAX_POINTS = 1 << 25
 # chain nodes kept on each side of the resample window; 64 reproduces the
@@ -61,10 +59,6 @@ _GTSV_WARMUP = _SPLINE_MARGIN
 # VM).  Run at every size, the sequential port made the perfbench
 # `analytics` pass 71% and `rate-sweep` 21% slower than scipy's solve.
 _GTSV_LANE_MIN = 2048
-
-
-def _phi(x):
-    return INV_SQRT_2PI * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
 
 
 @dataclass(frozen=True)
@@ -131,7 +125,7 @@ class MomentSummary:
 class AnalyticModel:
     """Capability record for a 1-D distribution.
 
-    density/cdf/log_laplace/char_fn are optional callbacks; cumulants is
+    density/cdf/log_laplace are optional callbacks; cumulants is
     the ordered sequence (gamma_1, gamma_2, ...) when known in closed
     form.  Purely discrete members (Bernoulli variants) carry no density
     and only participate through their log-Laplace transform.
@@ -139,7 +133,6 @@ class AnalyticModel:
     name: str
     density: Optional[Callable] = None
     log_laplace: Optional[Callable] = None
-    char_fn: Optional[Callable] = None
     cumulants: Optional[tuple] = None
     support_radius: Optional[float] = None
     cdf: Optional[Callable] = None
@@ -655,36 +648,39 @@ def sum_densities(model: AnalyticModel, ns: Iterable[int],
                 yield SumProduct(n, acc.pop(n), cfg, meta)
 
 
-def _resample_sum(acc: GridDensity, n: int, cfg: GridConfig) -> GridDensity:
-    """Rescale x -> x*sqrt(n) by cubic resampling onto the requested grid.
-
-    The spline is fitted only on the nodes spanning the target arguments
-    plus _SPLINE_MARGIN on each side.
-    """
-    root_n = math.sqrt(n)
-    step = 2.0 * cfg.half_width / cfg.points
-    y = -cfg.half_width + step * (np.arange(cfg.points) + 0.5)
-    arg = y * root_n
-    x_first = acc.origin + acc.step * 0.5
-    x_last = acc.origin + acc.step * ((acc.n - 1) + 0.5)
-    inside = (arg >= x_first) & (arg <= x_last)
-    vals = np.zeros_like(arg)
+def _spline_at(src: GridDensity, points: np.ndarray) -> np.ndarray:
+    """src at the sorted points by the cubic spline through the nodes that span
+    them plus _SPLINE_MARGIN a side; 0 outside src's nodes, clipped at 0."""
+    x_first = src.origin + src.step * 0.5
+    x_last = src.origin + src.step * ((src.n - 1) + 0.5)
+    inside = (points >= x_first) & (points <= x_last)
+    vals = np.zeros_like(points)
     if inside.any():
-        a = arg[inside]
-        lo = max(0, int((a[0] - x_first) / acc.step) - _SPLINE_MARGIN)
-        hi = min(acc.n, int((a[-1] - x_first) / acc.step) + 2 + _SPLINE_MARGIN)
-        xs = acc.origin + acc.step * (np.arange(lo, hi) + 0.5)
-        vals[inside] = _spline(xs, acc.values[lo:hi])(a)
-    vals = np.maximum(vals, 0.0) * root_n
-    # values below the FFT noise floor of the convolution chain are
-    # meaningless; keeping them poisons ratio integrands in the far tail
+        a = points[inside]
+        lo = max(0, int((a[0] - x_first) / src.step) - _SPLINE_MARGIN)
+        hi = min(src.n, int((a[-1] - x_first) / src.step) + 2 + _SPLINE_MARGIN)
+        xs = src.origin + src.step * (np.arange(lo, hi) + 0.5)
+        vals[inside] = _spline(xs, src.values[lo:hi])(a)
+    return np.maximum(vals, 0.0)
+
+
+def _floored_density(vals: np.ndarray, origin: float, step: float) -> GridDensity:
+    """Resampled values as a density: values under the FFT noise floor,
+    which would poison far-tail ratio integrands, are zeroed, and a mass
+    off 1 by more than 1e-6 is refused; meta["mass_drift"] records it."""
     vals[vals < 1e-13 * vals.max()] = 0.0
     mass = step * vals.sum()
     if abs(mass - 1.0) > 1e-6:
-        raise AliasingError(
-            f"p_n mass {mass:.8g} on the target window; widen half_width")
-    return GridDensity(-cfg.half_width, step, vals / mass,
-                       meta={"mass_drift": mass - 1.0})
+        raise AliasingError(f"mass {mass:.8g} on the target window; widen half_width")
+    return GridDensity(origin, step, vals / mass, meta={"mass_drift": mass - 1.0})
+
+
+def _resample_sum(acc: GridDensity, n: int, cfg: GridConfig) -> GridDensity:
+    """Rescale x -> x*sqrt(n) by cubic resampling onto the requested grid."""
+    root_n = math.sqrt(n)
+    step = 2.0 * cfg.half_width / cfg.points
+    y = -cfg.half_width + step * (np.arange(cfg.points) + 0.5)
+    return _floored_density(_spline_at(acc, y * root_n) * root_n, -cfg.half_width, step)
 
 
 def normalized_sum_density(model: AnalyticModel, n: int,
@@ -706,11 +702,26 @@ def entropy_power(p: GridDensity) -> float:
     return math.exp(2.0 * entropy(p))
 
 
+def _tilt(p: GridDensity, t: float):
+    """p e^{tx} on p's grid and its largest value.  Where e^{tx} overflows,
+    cells with p = 0 are 0, not 0 * inf = NaN; an overflowing positive
+    cell raises TailDominanceError naming its edge."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = p.values * np.exp(float(t) * p.x)
+    peak = w.max()
+    if not math.isfinite(peak):
+        w = np.where(p.values > 0, w, 0.0)
+        peak = w.max()
+        if not math.isfinite(peak):
+            raise TailDominanceError(f"e^(tx) p(x) overflows on the window for t = {t:g}",
+                                     edge="right" if t > 0 else "left")
+    return w, peak
+
+
 def laplace_eval(p: GridDensity, t: float) -> float:
     """E e^{tX} by quadrature, with a decay check at the window edge; the
     TailDominanceError names the edge that failed it."""
-    w = p.values * np.exp(float(t) * p.x)
-    peak = w.max()
+    w, peak = _tilt(p, t)
     gate = 1e-12 * peak
     if peak > 0 and max(w[0], w[-1]) > gate:
         left, right = bool(w[0] > gate), bool(w[-1] > gate)
@@ -766,10 +777,13 @@ def wasserstein2(p: GridDensity, q: GridDensity, subdiv: int = 1 << 20) -> float
 
 
 def gaussian_smooth(p: GridDensity, t: float) -> GridDensity:
-    """Density of sqrt(t) X + sqrt(1-t) Z for X distributed as p.
+    """Density of sqrt(t) X + sqrt(1-t) Z for X distributed as p: the
+    heat flow from the standard normal (t = 0) to p (t = 1).
 
-    The heat-flow interpolation between p (t = 1) and the standard
-    normal (t = 0), resampled back onto p's grid.
+    On the lattice sqrt(t) x_i + j sqrt(t) step it is exactly the sum
+    sum_i step p_i phi_s(y - sqrt(t) x_i), s = sqrt(1-t): one convolution,
+    resampled onto p's grid as p_n is.  A lattice over CHAIN_MAX_POINTS
+    is refused before any transform runs.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
@@ -778,30 +792,20 @@ def gaussian_smooth(p: GridDensity, t: float) -> GridDensity:
     if t == 0.0:
         return gaussian_grid(p)
     s1, s2 = math.sqrt(t), math.sqrt(1.0 - t)
-    step = p.step
-    if s2 < 5.0 * step:
+    if s2 < 5.0 * p.step:
         raise ValueError("smoothing scale below grid resolution")
-    # scaled copy of p on the same step
-    spline = _spline(p.x, p.values)
-    half1 = s1 * max(abs(p.origin), abs(p.origin + p.n * step))
-    m1 = int(math.ceil(half1 / step)) + 2
-    y1 = step * (np.arange(-m1, m1) + 0.5)
-    arg = y1 / s1
-    g1 = np.where((arg >= p.x[0]) & (arg <= p.x[-1]), spline(arg), 0.0) / s1
-    g1 = np.maximum(g1, 0.0)
-    # gaussian kernel of scale s2
-    mk = int(math.ceil(min(40.0 * s2, 30.0) / step)) + 1
-    yk = step * (np.arange(-mk, mk) + 0.5)
-    ker = np.exp(-0.5 * (yk / s2) ** 2) / (s2 * math.sqrt(2 * math.pi))
-    conv = np.maximum(_fftconvolve(g1, ker), 0.0) * step
-    x0 = (y1[0]) + (yk[0])  # first sample of the convolution
-    xs = x0 + step * np.arange(len(conv))
-    out_spline = _spline(xs, conv)
-    vals = np.where((p.x >= xs[0]) & (p.x <= xs[-1]), out_spline(p.x), 0.0)
-    vals = np.maximum(vals, 0.0)
-    vals[vals < 1e-13 * vals.max()] = 0.0  # FFT noise floor, as in the sum path
-    mass = step * vals.sum()
-    return GridDensity(p.origin, step, vals / mass, meta={"t": t})
+    h = s1 * p.step
+    mk = int(math.ceil(min(40.0 * s2, 30.0) / h)) + 1
+    size = p.n + 2 * mk
+    if size > CHAIN_MAX_POINTS:
+        raise ChainTooLongError(f"smoothing at t = {t:g} needs a lattice of {size} points "
+                                f"(cap {CHAIN_MAX_POINTS}); use a larger t or a coarser grid")
+    ker = np.exp(-0.5 * (h * np.arange(-mk, mk + 1) / s2) ** 2) / (s2 * math.sqrt(2 * math.pi))
+    conv = _fftconvolve(p.values, ker) * p.step
+    lattice = GridDensity(s1 * p.x[0] - (mk + 0.5) * h, h, np.maximum(conv, 0.0))
+    out = _floored_density(_spline_at(lattice, p.x), p.origin, p.step)
+    out.meta["t"] = t
+    return out
 
 
 def moment_summary(p: GridDensity, order: int = 8) -> MomentSummary:

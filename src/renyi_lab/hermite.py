@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -23,21 +24,18 @@ _MOMENT_GRID_POINTS = 1 << 15
 
 
 def hermite_eval(k: int, x):
-    """H_k(x) by the three-term recurrence; vectorized over x."""
+    """H_k(x) by `_hermite_seq`'s recurrence, vectorized over x (never x itself)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     x = np.asarray(x, dtype=float)
-    h0 = np.ones_like(x)
-    if k == 0:
-        return h0 if h0.ndim else float(h0)
-    h1 = x.copy()
-    for j in range(1, k):
-        h0, h1 = h1, x * h1 - j * h0
-    return h1 if h1.ndim else float(h1)
+    h = np.ones_like(x) if k == 0 else x.copy()
+    for h in islice(_hermite_seq(k, x), 1, None):
+        pass
+    return h if h.ndim else float(h)
 
 
 def _hermite_seq(K: int, x):
-    """Yield H_1(x), ..., H_K(x): the recurrence of hermite_eval, run once.
+    """Yield H_1(x), ..., H_K(x) by the three-term recurrence, run once.
 
     The yielded arrays feed the recurrence and must not be modified.
     """

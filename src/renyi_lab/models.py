@@ -152,7 +152,6 @@ def normal_model(sigma2: float = 1.0) -> AnalyticModel:
         density=lambda x: _phi(x, sigma2),
         cdf=lambda x: _ndtr(np.asarray(x, dtype=float) / s),
         log_laplace=lambda t: 0.5 * sigma2 * np.asarray(t, dtype=float) ** 2,
-        char_fn=lambda t: np.exp(-0.5 * sigma2 * np.asarray(t) ** 2),
         cumulants=(0.0, sigma2),
         meta={"psi_tail": "constant" if sigma2 == 1.0 else "unknown"})
 
@@ -171,7 +170,6 @@ def uniform_model() -> AnalyticModel:
     return AnalyticModel(
         name="uniform", density=density, cdf=cdf,
         log_laplace=lambda t: _log_sinh_ratio(a * np.asarray(t, dtype=float)),
-        char_fn=lambda t: np.sinc(a * np.asarray(t) / math.pi),
         cumulants=(0.0, 1.0, 0.0, -6.0 / 5.0, 0.0, 48.0 / 7.0, 0.0, -432.0 / 5.0),
         support_radius=a,
         meta={"psi_tail": "decaying", "bound_M": 1.0 / (2.0 * a)})
@@ -182,7 +180,6 @@ def bernoulli_sym_model() -> AnalyticModel:
     return AnalyticModel(
         name="bernoulli_sym",
         log_laplace=lambda t: _log_cosh(np.asarray(t, dtype=float)),
-        char_fn=lambda t: np.cos(np.asarray(t, dtype=float)),
         cumulants=(0.0, 1.0, 0.0, -2.0, 0.0, 16.0),
         support_radius=1.0,
         meta={"psi_tail": "decaying"})

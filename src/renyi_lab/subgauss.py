@@ -24,8 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConstraintError, TailDominanceError
-from .grids import (AnalyticModel, GridConfig, GridDensity, _spline, discretize,
-                    laplace_eval)
+from .grids import (AnalyticModel, GridConfig, GridDensity, _spline, _tilt,
+                    discretize, laplace_eval)
 from .models import TrigPolynomial, minimize_bounded
 from .reports import FAILS, HOLDS, INCONCLUSIVE, CheckReport
 
@@ -376,7 +376,7 @@ def esscher(p: GridDensity, h: float) -> GridDensity:
     The renormalization hides any mass pushed off the window; the bias
     is estimated by the boundary cells and must stay below 1e-10.
     """
-    w = p.values * np.exp(float(h) * p.x)
+    w, _ = _tilt(p, h)
     total = p.step * w.sum()
     if total <= 0:
         raise ValueError("tilted density has no mass")

@@ -513,6 +513,77 @@ def test_gaussian_smooth_endpoints(uniform_grid):
     assert np.max(np.abs(g0.values - gaussian_grid(uniform_grid).values)) < 1e-12
 
 
+@pytest.mark.parametrize("points", [1 << 12, 1 << 14])
+@pytest.mark.parametrize("t", [0.05, 0.5, 0.9])
+def test_gaussian_smooth_exact_lattice_moments(points, t):
+    # the smoothed density is X_t = sqrt(t) X + sqrt(1-t) Z for X the
+    # grid's own lattice law, so its moments follow from the grid's
+    p = pn_of("uniform", 1, points=points)
+    m, g = moment_summary(p), moment_summary(gaussian_smooth(p, t))
+    m2 = m.variance + m.mean ** 2
+    assert abs(g.variance - (t * m.variance + 1.0 - t)) < 1e-9
+    alpha4 = t * t * m.alpha4 + 6.0 * t * (1.0 - t) * m2 + 3.0 * (1.0 - t) ** 2
+    assert abs(g.alpha4 - alpha4) < 1e-8
+
+
+def test_gaussian_smooth_records_mass_drift(uniform_grid):
+    g = gaussian_smooth(uniform_grid, 0.5)
+    assert g.meta["t"] == 0.5
+    assert abs(g.meta["mass_drift"]) < 1e-12
+    assert abs(g.mass - 1.0) < 1e-12
+
+
+def test_gaussian_smooth_refuses_mass_leaving_the_window():
+    # flat on the whole window: at t = 0.9 about 3e-4 of X_t's mass lies
+    # beyond +-12, which is refused rather than renormalized away
+    flat = GridDensity(-12.0, 24.0 / 4096, np.full(4096, 1.0 / 24.0))
+    with pytest.raises(AliasingError, match="mass 0.9997"):
+        gaussian_smooth(flat, 0.9)
+
+
+def test_gaussian_smooth_refuses_long_lattice_before_any_transform(monkeypatch, uniform_grid):
+    def no_transform(*args, **kwargs):
+        raise AssertionError("a transform ran")
+    with monkeypatch.context() as m:
+        m.setattr(np.fft, "rfft", no_transform)
+        # the default cap: the lattice at t = 1e-6 has about 2^25.3 points
+        with pytest.raises(ChainTooLongError):
+            gaussian_smooth(uniform_grid, 1e-6)
+        m.setattr(grids, "CHAIN_MAX_POINTS", 1 << 16)
+        with pytest.raises(ChainTooLongError, match="t = 0.05"):
+            gaussian_smooth(uniform_grid, 0.05)
+    monkeypatch.setattr(grids, "CHAIN_MAX_POINTS", 1 << 16)
+    gaussian_smooth(uniform_grid, 0.9)  # a lattice of 34,592 points fits
+
+
+def test_gaussian_smooth_one_convolution_one_spline(monkeypatch, uniform_grid):
+    counts = {"_spline": 0, "_fftconvolve": 0, "_fftsquare": 0}
+    for name in counts:
+        def spy(*args, _real=getattr(grids, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(grids, name, spy)
+    for t in (0.05, 0.5, 0.9):
+        gaussian_smooth(uniform_grid, t)
+    assert counts == {"_spline": 3, "_fftconvolve": 3, "_fftsquare": 0}
+
+
+def test_laplace_eval_overflow_off_the_support(uniform_grid):
+    # e^(60 x) overflows beyond x = 11.8, where the uniform grid is 0:
+    # those cells are 0 rather than 0 * inf = NaN
+    a = 60.0 * SQRT3
+    assert math.isclose(laplace_eval(uniform_grid, 60.0), math.sinh(a) / a, rel_tol=1e-3)
+    assert math.isclose(laplace_eval(uniform_grid, -60.0), math.sinh(a) / a, rel_tol=1e-3)
+
+
+def test_laplace_eval_overflow_on_the_support_names_the_edge():
+    # skewed is positive down to x = -12, where e^(720) overflows
+    p = pn_of(SKEWED, 1)
+    with pytest.raises(TailDominanceError, match="overflows") as info:
+        laplace_eval(p, -60.0)
+    assert info.value.edge == "left"
+
+
 def test_pointwise_density_bound_uniform():
     report = pointwise_density_bound_check(model_of("uniform"), n=8,
                                            sigma2=1.0, M=1.0 / (2.0 * SQRT3))

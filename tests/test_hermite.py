@@ -11,7 +11,7 @@ from renyi_lab import (GridDensity, NormalMomentVector, SeriesError,
                        hermite_eval, moments_from_normal_moments,
                        normal_moments, pearson_vajda)
 from renyi_lab import hermite
-from conftest import SKEWED, model_of, pn_of
+from conftest import SKEWED, model_of, pn_of, same_bits
 
 
 def test_recurrence_small_orders():
@@ -234,3 +234,29 @@ def test_binomial_identity():
             assert hermite_binomial_check(a, b, k) < 1e-8
     with pytest.raises(ValueError):
         hermite_binomial_check(0.5, 0.5, 3)
+
+
+def _hermite_loop(k, x):
+    """The three-term loop hermite_eval ran on its own."""
+    x = np.asarray(x, dtype=float)
+    h0 = np.ones_like(x)
+    if k == 0:
+        return h0 if h0.ndim else float(h0)
+    h1 = x.copy()
+    for j in range(1, k):
+        h0, h1 = h1, x * h1 - j * h0
+    return h1 if h1.ndim else float(h1)
+
+
+def test_hermite_eval_matches_its_loop_bitwise():
+    xs = np.linspace(-9.0, 9.0, 101)
+    for k in range(61):
+        assert same_bits(hermite_eval(k, xs), _hermite_loop(k, xs)), k
+        for x in (0.0, -1.7, 3.25, np.float64(8.5)):
+            ours = hermite_eval(k, x)
+            assert type(ours) is float and same_bits(ours, _hermite_loop(k, x)), (k, x)
+    assert same_bits(hermite_eval(0, xs), np.ones_like(xs))
+    h1 = hermite_eval(1, xs)
+    assert not np.shares_memory(h1, xs)
+    h1[0] = 0.0  # the caller's array is untouched
+    assert xs[0] == -9.0

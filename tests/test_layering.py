@@ -1,5 +1,6 @@
 """The package's modules import only from lower layers, so that, e.g.,
-the model zoo never reaches up into the checker layer."""
+the model zoo never reaches up into the checker layer, and every cubic
+resample runs through one helper."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,44 @@ def test_no_module_imports_scipy():
     # scipy is a test dependency: the package runs on numpy and the stdlib
     src = Path(renyi_lab.__file__).parent
     assert [p.name for p in sorted(src.glob("*.py")) if "scipy" in _imported_modules(p)] == []
+
+
+def _references(name: str):
+    """(module, innermost enclosing function) of every use of `name` in
+    the package, as a plain name or an attribute, calls or not."""
+    found = []
+
+    class Uses(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.scope = module, ["<module>"]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Name(self, node):
+            if node.id == name:
+                found.append((self.module, self.scope[-1]))
+
+        def visit_Attribute(self, node):
+            if node.attr == name:
+                found.append((self.module, self.scope[-1]))
+            self.generic_visit(node)
+
+        def visit_alias(self, node):
+            if node.name == name and node.asname not in (None, name):
+                found.append((self.module, f"import as {node.asname}"))
+
+    src = Path(renyi_lab.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        Uses(path.stem).visit(ast.parse(path.read_text()))
+    return found
+
+
+def test_one_resample_path():
+    # every cubic resample (p_n, gaussian_smooth) goes through one
+    # windowed helper; the numeric K profile is the spline's only other use
+    assert sorted(_references("_spline")) == [("grids", "_spline_at"), ("subgauss", "profile")]

@@ -346,3 +346,27 @@ def test_quartic_zeros_are_roots():
         for z in res["zeros"]:
             val = 1.0 - alpha * z ** 2 + beta * z ** 4
             assert abs(val) < 1e-10, (alpha, beta, z)
+
+
+def test_esscher_tilt_off_the_support(uniform_grid):
+    # e^(60 x) overflows beyond x = 11.8, where the uniform grid is 0; the
+    # tilted law's mean is K'(60) = sqrt(3) coth(60 sqrt(3)) - 1/60
+    tilted = esscher(uniform_grid, 60.0)
+    assert abs(tilted.mass - 1.0) < 1e-12 and tilted.meta["bias"] == 0.0
+    mean = math.sqrt(3.0) / math.tanh(60.0 * math.sqrt(3.0)) - 1.0 / 60.0
+    assert abs(moment_summary(tilted).mean - mean) < 1e-4
+
+
+def test_esscher_overflow_on_the_support_names_the_edge():
+    with pytest.raises(TailDominanceError, match="overflows") as info:
+        esscher(pn_of(SKEWED, 1), -60.0)
+    assert info.value.edge == "left"
+
+
+def test_numeric_profile_beyond_the_exp_range(uniform_model):
+    # t = +-80 overflows e^(tx) at the window's edges, off the support
+    prof = profile(dataclasses.replace(uniform_model, log_laplace=None),
+                   t_range=(-80.0, 80.0))
+    assert (prof.t_min, prof.t_max) == (-80.0, 80.0)
+    t = np.linspace(-80.0, 80.0, 1001)
+    assert np.max(np.abs(prof.K(t) - uniform_model.log_laplace(t))) < 1.2e-3
