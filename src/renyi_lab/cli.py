@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergences import kl, pearson_vajda, renyi_tsallis, infinite_order, tv_hellinger
+from .divergences import (kl, pearson_vajda_result, renyi_tsallis, infinite_order,
+                          tv_hellinger)
 from .edgeworth import CumulantVector, expansion_constants, fit_leading_constant, q_polynomial
 from .errors import LabError
 from .grids import GridConfig, gaussian_grid, normalized_sum_density, sum_densities
@@ -137,7 +138,8 @@ def _distance_value(item, distance, order):
     p = item.density()
     q = gaussian_grid(p)
     if distance == "chi2":
-        return pearson_vajda(p, q, 2.0), 0.0
+        chi2 = pearson_vajda_result(p, q, 2.0)
+        return chi2.value, chi2.tail_bound
     return _orders(p, q, order)[1:]
 
 

@@ -159,15 +159,23 @@ def tv_hellinger(p: GridDensity, q: GridDensity):
     return tv, math.sqrt(max(h2, 0.0))
 
 
-def pearson_vajda(p: GridDensity, q: GridDensity, alpha: float) -> float:
-    """chi_alpha = int |p/q - 1|^alpha q for alpha >= 1; chi_1 equals TV."""
+def pearson_vajda_result(p: GridDensity, q: GridDensity, alpha: float) -> DivergenceResult:
+    """chi_alpha with the geometric tail estimate of its integrand
+    |p - q|^alpha q^(1-alpha) beyond the window; inf with bound inf
+    where the integrand is not resolved."""
     _finite_order(alpha)
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
+    cutoff = _window_radius(p)
     g = _power_ratio(_support(np.abs(p.values - q.values), q.values), alpha)
     if g is None:
-        return math.inf
-    return float(p.step * g.sum())
+        return DivergenceResult(math.inf, math.inf, cutoff)
+    return DivergenceResult(float(p.step * g.sum()), _tail_estimate(g, p.step), cutoff)
+
+
+def pearson_vajda(p: GridDensity, q: GridDensity, alpha: float) -> float:
+    """chi_alpha = int |p/q - 1|^alpha q for alpha >= 1; chi_1 equals TV."""
+    return pearson_vajda_result(p, q, alpha).value
 
 
 def infinite_order(p: GridDensity, q: GridDensity, q_floor: float = 1e-300):

@@ -20,10 +20,10 @@ resampled onto the requested grid by a cubic spline fitted on the nodes
 around the target window.  A pass whose longest product would exceed
 CHAIN_MAX_POINTS is refused before any transform runs.
 
-The transforms are numpy.fft's and the spline is `_spline`, a port of
-scipy's not-a-knot CubicSpline whose tridiagonal solve `_gtsv` ports
-LAPACK dgtsv; they reproduce scipy.fft, scipy.interpolate and
-scipy.linalg bit for bit, and the module imports no scipy.
+The transforms are numpy.fft's, which reproduce scipy.fft bit for bit.
+The spline is `_spline`, scipy's not-a-knot CubicSpline on uniform
+nodes, whose slope system a short filter solves (`_uniform_solve`).
+The module imports no scipy.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import math
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, cycle, islice
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -48,17 +47,22 @@ _ENTROPY_FLOOR = 1e-300
 
 # longest array a convolution chain may produce (2^25 doubles = 256 MiB)
 CHAIN_MAX_POINTS = 1 << 25
-# chain nodes kept on each side of the resample window; 64 reproduces the
-# spline through every node to the last bit, 16 does not
+# chain nodes kept on each side of the resample window: the spline's
+# end conditions reach a node i places inside only through r^i (see
+# _SPLINE_TAPS), so 64 nodes bound the end effect by r^64 ~ 1e-37
 _SPLINE_MARGIN = 64
-# the tridiagonal solve's recurrences forget their start at the same rate:
-# a lane of `_gtsv` warms up over this many indices
-_GTSV_WARMUP = _SPLINE_MARGIN
-# below this many unknowns `_gtsv` runs sequentially: the lanes cost a
-# fixed ~1.4 ms, the sequential port ~0.75 us per unknown (2-core x86-64
-# VM).  Run at every size, the sequential port made the perfbench
-# `analytics` pass 71% and `rate-sweep` 21% slower than scipy's solve.
-_GTSV_LANE_MIN = 2048
+# On uniform nodes of step h the not-a-knot slope system is h (1, 4, 1)
+# inside.  Its bi-infinite inverse is the cubic B-spline prefilter
+# (-r)^|k| / (2 sqrt(3) h), r = 2 - sqrt(3) (Unser, Aldroubi & Eden, IEEE
+# Trans. Signal Process. 41, 1993); r^40 ~ 1e-23 cuts it at 81 taps.
+_R = 2.0 - math.sqrt(3.0)
+_SPLINE_TAPS = (-_R) ** np.abs(np.arange(-40, 41)) / (2.0 * math.sqrt(3.0))
+_SPLINE_END = (-_R) ** np.arange(_SPLINE_MARGIN) / (math.sqrt(3.0) * _R)
+# systems of fewer unknowns are solved densely
+_SPLINE_DENSE = 256
+# largest spread of the spline's steps, relative to their mean; one
+# residual correction leaves an error of order its square
+_SPLINE_UNIFORM = 1e-6
 
 
 @dataclass(frozen=True)
@@ -276,269 +280,73 @@ class _PiecewisePoly:
             c * float(math.perm(d - k, nu)) for k, c in enumerate(self.coefs[:-nu])))
 
 
-def _gtsv_sequential(dl, d, du, b) -> np.ndarray:
-    """LAPACK dgtsv for one right-hand side, row interchanges included,
-    one index at a time on Python floats."""
-    dl, d, du, b = dl.tolist(), d.tolist(), du.tolist(), b.tolist()
-    n = len(d)
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            if d[i] == 0.0:
-                raise ValueError("singular tridiagonal system")
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            b[i + 1] = b[i + 1] - fact * b[i]
-            dl[i] = 0.0
-        else:  # interchange rows i and i + 1
-            fact = d[i] / dl[i]
-            d[i] = dl[i]
-            temp = d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            temp = b[i]
-            b[i] = b[i + 1]
-            b[i + 1] = temp - fact * b[i + 1]
-    if d[-1] == 0.0:
-        raise ValueError("singular tridiagonal system")
-    b[-1] = b[-1] / d[-1]
-    if n > 1:
-        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
-    for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
-    return np.array(b)
+def _uniform_solve(g: np.ndarray) -> np.ndarray:
+    """s with U s = g, U the not-a-knot slope system on unit steps: rows
+    (1, 2), then (1, 4, 1) inside, then (2, 1); len(g) >= _SPLINE_DENSE.
+    The filter satisfies every inner row; each end row's residual e then
+    moves the slopes by e (-r)^i / (sqrt(3) r), i nodes from that end,
+    the decaying solution of the end block."""
+    s = np.convolve(g, _SPLINE_TAPS, "same")
+    s[:_SPLINE_MARGIN] += (g[0] - s[0] - 2.0 * s[1]) * _SPLINE_END
+    s[-_SPLINE_MARGIN:] += (g[-1] - 2.0 * s[-2] - s[-1]) * _SPLINE_END[::-1]
+    return s
 
 
-def _eliminate(state, dl, d, du, b):
-    """dgtsv's elimination without interchange: the pivot and right-hand
-    side of row i from those of row i - 1 (floats or arrays)."""
-    piv, rhs = state
-    fact = dl / piv
-    return d - fact * du, b - fact * rhs
-
-
-def _substitute(state, rhs, du, piv):
-    """dgtsv's back substitution: x_i from the state (x_{i+1}, x_{i+2});
-    the eliminated subdiagonal entry is the 0.0 that multiplies x_{i+2}.
-    Returns the state (x_i, x_{i+1})."""
-    x1, x2 = state
-    return ((rhs - du * x1) - 0.0 * x2) / piv, x1
-
-
-def _same(a: float, b: float) -> bool:
-    """a and b are the same double (NaN never is)."""
-    return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))
-
-
-# The lanes of `_gtsv` keep every sequence in a panel: an (L, columns)
-# array, L = _GTSV_WARMUP + 1, whose column j holds the L consecutive
-# positions jL, ..., jL + L - 1.  A lane of L indices is then one column,
-# and its warm-up the column before.  `_settle` reads a panel as the
-# sequence (panel, off, sign): entry i sits at position off + sign * i.
-
-def _panel(out, values, off, pad):
-    """Fill the panel `out` with `values` from position `off` and with
-    `pad` everywhere else."""
-    lane = out.shape[0]
-    out[...] = pad
-    by_col = out.T  # row j: the positions of column j
-    col, t = divmod(off, lane)
-    head = min(len(values), lane - t)
-    by_col[col, t:t + head] = values[:head]
-    full, tail = divmod(len(values) - head, lane)
-    by_col[col + 1:col + 1 + full] = values[head:head + full * lane].reshape(full, lane)
-    by_col[col + 1 + full, :tail] = values[len(values) - tail:]
-
-
-def _settle(step, state, coefs, first, n, starts):
-    """Make candidate states exact: afterwards state_i == step(state_{i-1},
-    *coefs at i) holds bit for bit for every first < i < n, with the
-    state at `first` taken as given.  State components and coefficients
-    are panel sequences, all panels of one shape.  `starts` are the only
-    indices where the candidates may break the recurrence (each lane's
-    first, plus any the caller adds), and only they are checked.
-
-    From each index where the check fails, the recurrence is rerun on
-    floats until its state meets the candidate's again, so the cost is
-    the check plus the indices actually wrong.  Writes into the state
-    panels and returns the number of indices rerun; raises
-    ZeroDivisionError if a rerun step divides by zero.
-    """
-    lane, cols = state[0][0].shape
-    flat = [[q[0].reshape(-1) for q in seqs] for seqs in (state, coefs)]
-
-    def get(which, seqs, i):
-        """Entries i of each sequence, and their flat indices."""
-        where = {}
-        for _, off, sign in seqs:
-            if (off, sign) not in where:
-                col, t = np.divmod(off + sign * i, lane)
-                where[off, sign] = t * cols + col
-        spots = [where[off, sign] for _, off, sign in seqs]
-        return [f[k] for f, k in zip(flat[which], spots)], spots
-
-    at = starts[(starts > first) & (starts < n)]
-    with np.errstate(all="ignore"):
-        new = step(tuple(get(0, state, at - 1)[0]), *get(1, coefs, at)[0])
-    wrong = np.zeros(len(at), dtype=bool)
-    for s, v in zip(get(0, state, at)[0], new):
-        wrong |= s.view(np.int64) != v.view(np.int64)
-    wrong = at[wrong]
-    j = rerun = 0
-    while j < len(wrong):
-        i = int(wrong[j])
-        cur = tuple(float(v[0]) for v in get(0, state, np.array([i - 1]))[0])
-        chunk, met = 64, False
-        while i < n and not met:
-            idx = np.arange(i, min(n, i + chunk))
-            vals, spots = get(0, state, idx)
-            old = list(zip(*(v.tolist() for v in vals)))
-            fresh = []
-            for c, was in zip(zip(*(v.tolist() for v in get(1, coefs, idx)[0])), old):
-                cur = step(cur, *c)
-                fresh.append(cur)
-                # == first: cheap, and false until the rerun meets the candidate
-                if cur == was and all(map(_same, cur, was)):
-                    met = True
-                    break
-            for f, k, col in zip(flat[0], spots, zip(*fresh)):
-                f[k[:len(col)]] = col
-            i += len(fresh)
-            rerun += len(fresh)
-            chunk = min(4 * chunk, 4096)
-        j = int(np.searchsorted(wrong, i))
-    return rerun
-
-
-def _eliminate_lanes(coef, piv, rhs, lanes):
-    """Candidate pivots and right-hand sides: dgtsv's elimination without
-    interchange run in `lanes` lanes side by side.  coef holds the panels
-    of dl_{i-1}, d_i, du_{i-1}, b_i; lane k starts from the state (1, 0)
-    at the top of column k, warms up down that column and writes column
-    k + 1 of the piv and rhs panels.  Before index 0 the coefficients are
-    pads that keep the start state, so lane 0 is exact."""
-    p, q, fact = np.ones(lanes), np.zeros(lanes), np.empty(lanes)
-    with np.errstate(all="ignore"):
-        # the warm-up states alternate between two buffers
-        for col, outs in ((0, cycle(np.empty((2, 2, lanes)))),
-                          (1, zip(piv[:, 1:lanes + 1], rhs[:, 1:lanes + 1]))):
-            rows = zip(*coef[:, :, col:col + lanes], outs)
-            for dl_r, d_r, du_r, b_r, (p_new, q_new) in islice(rows, 1 - col, None):
-                np.divide(dl_r, p, out=fact)
-                np.multiply(fact, du_r, out=p_new)
-                np.subtract(d_r, p_new, out=p_new)
-                np.multiply(fact, q, out=q_new)
-                np.subtract(b_r, q_new, out=q_new)
-                p, q = p_new, q_new
-
-
-def _substitute_lanes(du, piv, rhs, x, lanes):
-    """Candidate solution: dgtsv's back substitution run in lanes side by
-    side, from the last index down.  Lane k starts from x = 0 at the
-    bottom of column k + 2, warms up along that column towards its top
-    and writes column k + 1 of the x panel; beyond the last index the
-    coefficients are pads that keep x = 0, so the top lane is exact.  du
-    is the panel of du_{i-1}, so du_i sits one position further on; the
-    0.0 x_{i+2} term is left out, as `_settle` puts it back."""
-    y = np.zeros(lanes)
-    with np.errstate(all="ignore"):
-        for col, outs in ((2, cycle(np.empty((2, lanes)))), (1, x[::-1, 1:lanes + 1])):
-            du_next = chain((du[0, col + 1:col + 1 + lanes],), du[:0:-1, col:col + lanes])
-            rows = zip(du_next, rhs[::-1, col:col + lanes], piv[::-1, col:col + lanes], outs)
-            for du_r, q_r, p_r, out in islice(rows, col - 1, None):
-                np.multiply(du_r, y, out=out)
-                np.subtract(q_r, out, out=out)
-                np.divide(out, p_r, out=out)
-                y = out
-
-
-def _gtsv(dl, d, du, b) -> np.ndarray:
-    """Solve the tridiagonal system with subdiagonal dl, diagonal d and
-    superdiagonal du for the right-hand side b, bit for bit as LAPACK
-    dgtsv (scipy.linalg.solve_banded((1, 1), ...)) solves it.
-
-    Elimination and back substitution each run as lanes evaluated side by
-    side, then `_settle` makes the candidates exact.  If an eliminated
-    pivot is smaller than its subdiagonal entry, dgtsv would interchange
-    rows, and `_gtsv_sequential` solves the system instead.
-    """
-    n = len(d)
-    if n < _GTSV_LANE_MIN:
-        return _gtsv_sequential(dl, d, du, b)
-    lane = _GTSV_WARMUP + 1
-    lanes = -(-n // lane)
-    cols = lanes + 2
-    # index i sits at position i + lane: column 0 is the warm-up of lane 0
-    coef = np.empty((4, lane, cols))
-    for out, values, off, pad in zip(coef, (dl, d, du, b), (lane + 1, lane, lane + 1, lane),
-                                     (0.0, 1.0, 0.0, 0.0)):
-        _panel(out, values, off, pad)
-    piv, rhs = np.ones((lane, cols)), np.zeros((lane, cols))
-    _eliminate_lanes(coef, piv, rhs, lanes)
-    starts = np.arange(lane, n, lane)
-    try:
-        _settle(_eliminate, ((piv, lane, 1), (rhs, lane, 1)),
-                [(c, lane, 1) for c in coef], 0, n, starts)
-    except ZeroDivisionError:
-        return _gtsv_sequential(dl, d, du, b)
-    # beyond the last index the pads again: pivot 1, right-hand side 0
-    col, t = divmod(n + lane, lane)
-    piv[t:, col], piv[:, col + 1:], rhs[t:, col], rhs[:, col + 1:] = 1.0, 1.0, 0.0, 0.0
-    # dgtsv keeps row i where |pivot_i| >= |dl_i|, and dl_i sits one
-    # position after pivot i; a zero pivot is singular
-    if not (np.all(np.abs(piv[:-1]) >= np.abs(coef[0, 1:]))
-            and np.all(np.abs(piv[-1, :-1]) >= np.abs(coef[0, 0, 1:])) and np.all(piv)):
-        return _gtsv_sequential(dl, d, du, b)
-    x = np.zeros((lane, cols))
-    _substitute_lanes(coef[2], piv, rhs, x, lanes)
-    out = x.T.ravel()[lane:lane + n]
-    # The lanes leave out 0.0 x_{i+2}, which only matters where x_i is 0
-    # or x_{i+2} is not finite; check there too.  Backwards, in
-    # r = n - 1 - i, x_i sits at position n - 1 + lane - r, du_i one on.
-    odd = np.flatnonzero((out == 0.0) | ~np.isfinite(out))
-    starts = np.sort(np.concatenate((n - lane * np.arange(lanes - 1, 0, -1),
-                                     n - 1 - odd, n + 1 - odd)))
-    top = n - 1 + lane
-    if _settle(_substitute, ((x, top, -1), (x, top + 1, -1)),
-               [(rhs, top, -1), (coef[2], top + 1, -1), (piv, top, -1)], 1, n, starts):
-        out = x.T.ravel()[lane:lane + n]
-    return out
+def _slope_bands(x: np.ndarray, dx: np.ndarray):
+    """Sub-, main and superdiagonal of the not-a-knot slope system."""
+    d = np.empty(len(x))
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    d[0], d[-1] = dx[1], dx[-2]
+    return np.append(dx[1:], x[-1] - x[-3]), d, np.insert(dx[:-1], 0, x[2] - x[0])
 
 
 def _spline(x: np.ndarray, y: np.ndarray) -> _PiecewisePoly:
-    """Not-a-knot cubic spline through (x, y), x strictly increasing.
+    """Not-a-knot cubic spline through (x, y) on uniform nodes.
 
-    scipy.interpolate.CubicSpline's arithmetic step for step: the same
-    tridiagonal system for the node slopes, solved as LAPACK gtsv solves
-    it (`_gtsv`), and the same cubic Hermite coefficients, so values and
-    derivatives agree bit for bit.
+    scipy.interpolate.CubicSpline's tridiagonal system for the node
+    slopes and its cubic Hermite coefficients.  A system of fewer than
+    _SPLINE_DENSE unknowns is solved densely, a larger one by
+    `_uniform_solve` on the mean step h, followed, where the steps are
+    not all one double, by one residual correction with the true steps.
+    Only those two build the system's bands: the chain's steps are
+    exact, and its resample fits up to ~2^19 nodes.  Nodes whose steps
+    spread by more than _SPLINE_UNIFORM h are refused.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(x)
     if n < 4 or y.shape != x.shape:
         raise ValueError("a not-a-knot spline needs x and y of one length >= 4")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("spline nodes must be finite")
     dx = np.diff(x)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(dx > 0)):
-        raise ValueError("spline nodes must be finite and strictly increasing")
+    h = (x[-1] - x[0]) / (n - 1)
+    shortest, longest = dx.min(), dx.max()
+    if not (shortest > 0 and longest - shortest <= _SPLINE_UNIFORM * h):
+        raise ValueError("spline nodes must be increasing and uniformly spaced")
     slope = np.diff(y) / dx
-    # not-a-knot: the third derivative is continuous at x[1] and x[-2]; the
-    # scalar ** 2 is pow(), which can differ from dx * dx in the last bit
+    # not-a-knot: the third derivative is continuous at x[1] and x[-2]
     lead, trail = x[2] - x[0], x[-1] - x[-3]
-    dl = np.append(dx[1:], trail)
-    d = np.empty(n)
-    d[1:-1] = 2 * (dx[:-1] + dx[1:])
-    d[0], d[-1] = dx[1], dx[-2]
-    du = np.insert(dx[:-1], 0, lead)
     b = np.empty(n)
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     b[0] = ((dx[0] + 2 * lead) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / lead
     b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * trail + dx[-1]) * dx[-2] * slope[-1]) / trail
-    s = _gtsv(dl, d, du, b)
+    if n < _SPLINE_DENSE:
+        dl, d, du = _slope_bands(x, dx)
+        s = np.linalg.solve(np.diag(d) + np.diag(du, 1) + np.diag(dl, -1), b)
+    else:
+        s = _uniform_solve(b) / h
+        if shortest < longest:
+            dl, d, du = _slope_bands(x, dx)
+            b -= d * s
+            b[:-1] -= du * s[1:]
+            b[1:] -= dl * s[:-1]
+            s += _uniform_solve(b) / h
+    del b
     t = (s[:-1] + s[1:] - 2 * slope) / dx
-    return _PiecewisePoly(x, (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+    c2 = (slope - s[:-1]) / dx - t
+    t /= dx
+    return _PiecewisePoly(x, (t, c2, s[:-1], y[:-1]))
 
 
 def _sum_density(vals: np.ndarray, origin: float, step: float) -> GridDensity:
@@ -705,7 +513,9 @@ def entropy_power(p: GridDensity) -> float:
 def _tilt(p: GridDensity, t: float):
     """p e^{tx} on p's grid and its largest value.  Where e^{tx} overflows,
     cells with p = 0 are 0, not 0 * inf = NaN; an overflowing positive
-    cell raises TailDominanceError naming its edge."""
+    cell raises TailDominanceError naming its edge, a NaN t ValueError."""
+    if math.isnan(t):
+        raise ValueError("tilt t must not be NaN")
     with np.errstate(over="ignore", invalid="ignore"):
         w = p.values * np.exp(float(t) * p.x)
     peak = w.max()

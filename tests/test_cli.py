@@ -75,6 +75,16 @@ def test_rate_csv_and_determinism(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_rate_chi2_reports_its_tail_bound(capsys):
+    # beyond +-12 uniform's p_16 is 0, so (p - q)^2 / q is the normal's
+    # own tail there, 2 Phi(-12) ~ 3.6e-33
+    code, out, _ = run(capsys, "rate", "--model", "uniform", "--distance", "chi2",
+                       "--n", "16,32")
+    assert code == 0
+    row = dict(zip(*[line.split(",") for line in out.splitlines()[:2]]))
+    assert row["n"] == "16" and 1e-33 < float(row["tail_bound"]) < 1e-32
+
+
 def test_rate_renyi_constant_scales_with_alpha(capsys):
     # T_alpha ~ (alpha/2) chi^2: uniform has gamma4^2/24 = 0.06, so 0.09 at alpha 3
     code, out, _ = run(capsys, "rate", "--model", "uniform", "--distance", "renyi",

@@ -14,7 +14,8 @@ from renyi_lab import (GridDensity, entropy_young, gaussian_grid,
                        relative_fisher, renyi_tsallis, truncated_tsallis,
                        tv_hellinger, wasserstein2)
 from renyi_lab.divergences import (_PAIR_SLOT, _pair_support, _power_ratio,
-                                   _tail_estimate, _window_radius)
+                                   _tail_estimate, _window_radius,
+                                   pearson_vajda_result)
 from conftest import SKEWED, model_of, pn_of, same_bits
 
 ALPHAS = (0.5, 1.5, 2.0, 3.0)
@@ -236,6 +237,20 @@ def test_power_ratio_gates(normal_grid, which, case):
         assert math.isinf(d.tail_bound)
     else:
         assert pearson_vajda(p, q, 2.0) == math.inf
+
+
+def test_pearson_vajda_result_carries_its_tail(normal_grid):
+    p = pn_of(SKEWED, 4)
+    q = gaussian_grid(p)
+    res = pearson_vajda_result(p, q, 2.0)
+    assert res.value == pearson_vajda(p, q, 2.0)
+    assert res.truncated_at == _window_radius(p)
+    g = (p.values - q.values) ** 2 / q.values
+    assert res.tail_bound > 0.0
+    assert math.isclose(res.tail_bound, _tail_estimate(g, p.step), rel_tol=1e-12)
+    for case in GATE_CASES:
+        res = pearson_vajda_result(*_gate_case(normal_grid, case), 2.0)
+        assert math.isinf(res.value) and math.isinf(res.tail_bound), case
 
 
 # the 64 orders of the seed-0 D_alpha scan in perfbench's analytics pass

@@ -363,6 +363,11 @@ def test_esscher_overflow_on_the_support_names_the_edge():
     assert info.value.edge == "left"
 
 
+def test_esscher_refuses_nan_t(uniform_grid):
+    with pytest.raises(ValueError, match="NaN"):
+        esscher(uniform_grid, math.nan)
+
+
 def test_numeric_profile_beyond_the_exp_range(uniform_model):
     # t = +-80 overflows e^(tx) at the window's edges, off the support
     prof = profile(dataclasses.replace(uniform_model, log_laplace=None),
