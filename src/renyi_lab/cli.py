@@ -132,10 +132,11 @@ def _cmd_dist(args) -> int:
     return 0
 
 
-def _distance_value(item, distance, order):
+def _distance_value(item, distance, order, sigma):
     """The rate value and its tail bound for one n of the stream: the
-    chi^2 distance, or T at the given order (KL at 1, T_inf at inf)."""
-    p = item.density()
+    chi^2 distance, or T at the given order (KL at 1, T_inf at inf), of
+    the standardized sum S_n/(sigma sqrt(n))."""
+    p = item.density(sigma)
     q = gaussian_grid(p)
     if distance == "chi2":
         chi2 = pearson_vajda_result(p, q, 2.0)
@@ -147,10 +148,16 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     """One row per n: value, tail_bound, fitted constant, predicted
     constant, relative gap.  Returns the rows; writes cfg.output if set.
 
-    One streaming pass of the convolution chain serves every n; each
-    n's resample and distance go to the pool as soon as its product is
-    complete, while the pass squares on."""
+    The distances are those of S_n/(sigma sqrt(n)), sigma^2 the model's
+    variance, and the constants are predicted from the standardized
+    cumulants kappa_k/sigma^k.  One streaming pass of the convolution
+    chain serves every n; each n's resample and distance go to the pool
+    as soon as its product is complete, while the pass squares on."""
     model = make_model(cfg.model)
+    var = model.variance
+    if var is None or not var > 0:
+        raise LabError(f"model {model.name!r} has no positive variance to standardize by")
+    sigma = math.sqrt(var)
     # the Renyi order of the distance; T_alpha ~ (alpha/2) chi^2 for small
     # distances, and T_inf has no expansion constant
     order = {"kl": 1.0, "chi2": 2.0, "tinf": math.inf}.get(cfg.distance, cfg.alpha)
@@ -158,12 +165,12 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         futures = []
         for item in sum_densities(model, cfg.n_values, cfg.grid):
-            futures.append(pool.submit(_distance_value, item, cfg.distance, order))
+            futures.append(pool.submit(_distance_value, item, cfg.distance, order, sigma))
             del item  # the pass frees a power once no job holds it
         results = [f.result() for f in futures]
     values = [v for v, _ in results]
-    gam = model.cumulants or (0.0, 1.0)
-    const = expansion_constants(CumulantVector(tuple(gam) + (0.0,) * max(0, 4 - len(gam))))
+    gam = tuple(c / var ** (k / 2) for k, c in enumerate(model.cumulants or (0.0, var), 1))
+    const = expansion_constants(CumulantVector(gam + (0.0,) * max(0, 4 - len(gam))))
     g3_zero = const["chi2_c2_valid"]
     if math.isinf(order):
         power, predicted = 0.0, math.nan

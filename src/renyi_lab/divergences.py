@@ -144,12 +144,13 @@ def renyi_tsallis(p: GridDensity, q: GridDensity, alpha: float):
 
 
 def kl(p: GridDensity, q: GridDensity) -> float:
-    """Relative entropy int p log(p/q); +inf if p charges a q-null region."""
-    pv, qv = p.values, q.values
-    m = pv > 0.0
-    if np.any(qv[m] == 0.0):
+    """Relative entropy int p log(p/q); +inf if p charges a q-null region.
+    The cells and logs are the pair's support, which a later order scan
+    on the same pair reuses."""
+    s = _pair_support(p, q)
+    if s.q_null:
         return math.inf
-    return float(p.step * np.sum(pv[m] * (p.log_values[m] - q.log_values[m])))
+    return float(p.step * np.sum(p.values[s.cells] * (s.log_w - s.log_q)))
 
 
 def tv_hellinger(p: GridDensity, q: GridDensity):

@@ -21,9 +21,10 @@ around the target window.  A pass whose longest product would exceed
 CHAIN_MAX_POINTS is refused before any transform runs.
 
 The transforms are numpy.fft's, which reproduce scipy.fft bit for bit.
-The spline is `_spline`, scipy's not-a-knot CubicSpline on uniform
-nodes, whose slope system a short filter solves (`_uniform_solve`).
-The module imports no scipy.
+The spline is `_spline(x0, h, y)`, scipy's not-a-knot CubicSpline on the
+uniform nodes x0 + i h, whose slope system a short filter solves
+(`_uniform_solve`); it keeps the values and slopes and forms a piece's
+coefficients only where it is evaluated.  The module imports no scipy.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -60,9 +61,6 @@ _SPLINE_TAPS = (-_R) ** np.abs(np.arange(-40, 41)) / (2.0 * math.sqrt(3.0))
 _SPLINE_END = (-_R) ** np.arange(_SPLINE_MARGIN) / (math.sqrt(3.0) * _R)
 # systems of fewer unknowns are solved densely
 _SPLINE_DENSE = 256
-# largest spread of the spline's steps, relative to their mean; one
-# residual correction leaves an error of order its square
-_SPLINE_UNIFORM = 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,6 +79,8 @@ class GridDensity:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
+        if not (math.isfinite(self.origin) and math.isfinite(self.step)):
+            raise ValueError("origin and step must be finite")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if not np.all(v >= 0):  # NaN fails too
@@ -172,8 +172,8 @@ def discretize(model: AnalyticModel, half_width: float, points: int) -> GridDens
     closed-form CDF, which is what makes densities with jumps (uniform)
     behave; otherwise midpoint sampling.
     """
-    if half_width <= 0:
-        raise ValueError("half_width must be positive")
+    if not (math.isfinite(half_width) and half_width > 0):
+        raise ValueError("half_width must be positive and finite")
     if points < 16 or points & (points - 1):
         raise ValueError("points must be a power of two, at least 16")
     if model.density is None and model.cdf is None:
@@ -248,36 +248,46 @@ def _fftsquare(held: list) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _PiecewisePoly:
-    """Polynomial pieces on the breakpoints x, coefficients highest power
-    first: on [x[i], x[i+1]) the value is sum_k coefs[k][i] s^(d-k) with
-    s = t - x[i] and d = len(coefs) - 1.
+class _UniformCubic:
+    """The cubic spline with nodes x0 + i h, node values y and node slopes
+    s, or its derivative of order nu.
 
-    Evaluation follows scipy's PPoly to the bit: the terms are added from
-    the constant up with s^k built by repeated multiplication (Horner
-    rounds differently), the last piece is closed on the right, points
-    outside the breakpoints use the end pieces and NaN gives NaN.
+    A piece's coefficients are formed when a point asks for it, by
+    scipy's CubicSpline arithmetic, and summed as scipy's PPoly sums
+    them: from the constant up, with s^k built by repeated multiplication
+    (Horner rounds differently).  A point uses the piece of the last node
+    at or below it, the last piece is closed on the right, points outside
+    the nodes use the end pieces and NaN gives NaN.
     """
-    x: np.ndarray
-    coefs: tuple
+    x0: float
+    h: float
+    y: np.ndarray
+    s: np.ndarray
+    nu: int = 0
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
-        i = np.clip(np.searchsorted(self.x, flat, side="right") - 1, 0, len(self.x) - 2)
-        s = flat - self.x[i]
-        out, power = self.coefs[-1][i], 1.0
-        for c in self.coefs[-2::-1]:
-            power = power * s
-            out = out + c[i] * power
+        x0, h, y, s, last = self.x0, self.h, self.y, self.s, len(self.y) - 2
+        i = np.clip(np.nan_to_num(np.floor((flat - x0) / h)), 0, last).astype(np.intp)
+        # the quotient's rounding can put t one piece off the last node <= t
+        i -= (x0 + i * h > flat) & (i > 0)
+        i += (x0 + (i + 1) * h <= flat) & (i < last)
+        ds = flat - (x0 + i * h)
+        slope = (y[i + 1] - y[i]) / h
+        hc3 = (s[i] + s[i + 1] - 2 * slope) / h  # h times the cubic coefficient
+        coefs = (hc3 / h, (slope - s[i]) / h - hc3, s[i], y[i])
+        coefs = [c * float(math.perm(3 - k, self.nu)) for k, c in enumerate(coefs[:4 - self.nu])]
+        out, power = coefs[-1], 1.0
+        for c in coefs[-2::-1]:
+            power = power * ds
+            out = out + c * power
         return out.reshape(t.shape)
 
-    def derivative(self, nu: int = 1) -> "_PiecewisePoly":
-        d = len(self.coefs) - 1
-        if not 1 <= nu <= d:
-            raise ValueError(f"derivative order must lie in [1, {d}]")
-        return _PiecewisePoly(self.x, tuple(
-            c * float(math.perm(d - k, nu)) for k, c in enumerate(self.coefs[:-nu])))
+    def derivative(self, nu: int = 1) -> "_UniformCubic":
+        if not 1 <= nu <= 3 - self.nu:
+            raise ValueError(f"derivative order must lie in [1, {3 - self.nu}]")
+        return replace(self, nu=self.nu + nu)
 
 
 def _uniform_solve(g: np.ndarray) -> np.ndarray:
@@ -292,61 +302,38 @@ def _uniform_solve(g: np.ndarray) -> np.ndarray:
     return s
 
 
-def _slope_bands(x: np.ndarray, dx: np.ndarray):
-    """Sub-, main and superdiagonal of the not-a-knot slope system."""
-    d = np.empty(len(x))
-    d[1:-1] = 2 * (dx[:-1] + dx[1:])
-    d[0], d[-1] = dx[1], dx[-2]
-    return np.append(dx[1:], x[-1] - x[-3]), d, np.insert(dx[:-1], 0, x[2] - x[0])
-
-
-def _spline(x: np.ndarray, y: np.ndarray) -> _PiecewisePoly:
-    """Not-a-knot cubic spline through (x, y) on uniform nodes.
+def _spline(x0: float, h: float, y: np.ndarray) -> _UniformCubic:
+    """Not-a-knot cubic spline through the values y at the nodes x0 + i h.
 
     scipy.interpolate.CubicSpline's tridiagonal system for the node
-    slopes and its cubic Hermite coefficients.  A system of fewer than
-    _SPLINE_DENSE unknowns is solved densely, a larger one by
-    `_uniform_solve` on the mean step h, followed, where the steps are
-    not all one double, by one residual correction with the true steps.
-    Only those two build the system's bands: the chain's steps are
-    exact, and its resample fits up to ~2^19 nodes.  Nodes whose steps
-    spread by more than _SPLINE_UNIFORM h are refused.
+    slopes, with every step h.  A system of fewer than _SPLINE_DENSE
+    unknowns is solved densely, a larger one by `_uniform_solve`.  Only
+    y and the slopes are kept: each piece's coefficients are formed when
+    evaluated.
     """
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = len(x)
-    if n < 4 or y.shape != x.shape:
-        raise ValueError("a not-a-knot spline needs x and y of one length >= 4")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("spline nodes must be finite")
-    dx = np.diff(x)
-    h = (x[-1] - x[0]) / (n - 1)
-    shortest, longest = dx.min(), dx.max()
-    if not (shortest > 0 and longest - shortest <= _SPLINE_UNIFORM * h):
-        raise ValueError("spline nodes must be increasing and uniformly spaced")
-    slope = np.diff(y) / dx
-    # not-a-knot: the third derivative is continuous at x[1] and x[-2]
-    lead, trail = x[2] - x[0], x[-1] - x[-3]
+    n = len(y) if y.ndim == 1 else 0
+    if n < 4:
+        raise ValueError("a not-a-knot spline needs at least 4 node values")
+    if not (math.isfinite(x0) and math.isfinite(h) and h > 0):
+        raise ValueError("spline origin and step must be finite, the step positive")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("spline node values must be finite")
+    slope = np.diff(y) / h
+    # not-a-knot: the third derivative is continuous at the second and
+    # the last but one node
     b = np.empty(n)
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    b[0] = ((dx[0] + 2 * lead) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / lead
-    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * trail + dx[-1]) * dx[-2] * slope[-1]) / trail
+    b[1:-1] = 3 * (h * slope[:-1] + h * slope[1:])
+    b[0] = ((h + 4 * h) * h * slope[0] + h ** 2 * slope[1]) / (2 * h)
+    b[-1] = (h ** 2 * slope[-2] + (4 * h + h) * h * slope[-1]) / (2 * h)
+    del slope
     if n < _SPLINE_DENSE:
-        dl, d, du = _slope_bands(x, dx)
-        s = np.linalg.solve(np.diag(d) + np.diag(du, 1) + np.diag(dl, -1), b)
+        u = 4 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+        u[0, :2] = u[-1, :-3:-1] = 1, 2  # the end rows (1, 2) and (2, 1)
+        s = np.linalg.solve(h * u, b)
     else:
         s = _uniform_solve(b) / h
-        if shortest < longest:
-            dl, d, du = _slope_bands(x, dx)
-            b -= d * s
-            b[:-1] -= du * s[1:]
-            b[1:] -= dl * s[:-1]
-            s += _uniform_solve(b) / h
-    del b
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    c2 = (slope - s[:-1]) / dx - t
-    t /= dx
-    return _PiecewisePoly(x, (t, c2, s[:-1], y[:-1]))
+    return _UniformCubic(float(x0), float(h), y, s)
 
 
 def _sum_density(vals: np.ndarray, origin: float, step: float) -> GridDensity:
@@ -390,9 +377,12 @@ class SumProduct:
     grid: GridConfig
     meta: dict = field(compare=False, repr=False)
 
-    def density(self) -> GridDensity:
-        """p_n on the requested grid."""
-        p = self.product if self.n == 1 else _resample_sum(self.product, self.n, self.grid)
+    def density(self, sigma: float = 1.0) -> GridDensity:
+        """The density of S_n/(sigma sqrt(n)) on the requested grid: p_n
+        for the default sigma = 1, the standardized sum for sigma^2 the
+        model's variance."""
+        p = (self.product if self.n == 1 and sigma == 1.0
+             else _resample_sum(self.product, self.n, self.grid, sigma))
         p.meta.update(self.meta)
         return p
 
@@ -467,8 +457,8 @@ def _spline_at(src: GridDensity, points: np.ndarray) -> np.ndarray:
         a = points[inside]
         lo = max(0, int((a[0] - x_first) / src.step) - _SPLINE_MARGIN)
         hi = min(src.n, int((a[-1] - x_first) / src.step) + 2 + _SPLINE_MARGIN)
-        xs = src.origin + src.step * (np.arange(lo, hi) + 0.5)
-        vals[inside] = _spline(xs, src.values[lo:hi])(a)
+        x0 = src.origin + src.step * (lo + 0.5)
+        vals[inside] = _spline(x0, src.step, src.values[lo:hi])(a)
     return np.maximum(vals, 0.0)
 
 
@@ -483,12 +473,13 @@ def _floored_density(vals: np.ndarray, origin: float, step: float) -> GridDensit
     return GridDensity(origin, step, vals / mass, meta={"mass_drift": mass - 1.0})
 
 
-def _resample_sum(acc: GridDensity, n: int, cfg: GridConfig) -> GridDensity:
-    """Rescale x -> x*sqrt(n) by cubic resampling onto the requested grid."""
-    root_n = math.sqrt(n)
+def _resample_sum(acc: GridDensity, n: int, cfg: GridConfig,
+                  sigma: float = 1.0) -> GridDensity:
+    """Rescale x -> x*sigma*sqrt(n) by cubic resampling onto the requested grid."""
+    scale = math.sqrt(n) * sigma
     step = 2.0 * cfg.half_width / cfg.points
     y = -cfg.half_width + step * (np.arange(cfg.points) + 0.5)
-    return _floored_density(_spline_at(acc, y * root_n) * root_n, -cfg.half_width, step)
+    return _floored_density(_spline_at(acc, y * scale) * scale, -cfg.half_width, step)
 
 
 def normalized_sum_density(model: AnalyticModel, n: int,

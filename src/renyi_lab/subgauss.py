@@ -148,7 +148,7 @@ def profile(model: AnalyticModel, t_range=(-40.0, 40.0),
     ts, ks = _decayed_run(p, np.linspace(lo, hi, samples))
     if len(ts) < 10:
         raise ValueError(f"Laplace transform of {model.name!r} not evaluable on range")
-    spline = _spline(ts, np.asarray(ks))
+    spline = _spline(ts[0], (hi - lo) / (samples - 1), ks)
     sigma2 = model.variance
     if sigma2 is None:
         sigma2 = float(spline.derivative(2)(0.0))

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -138,6 +139,54 @@ def test_rate_refuses_oversized_chain(capsys):
     assert code == 1
     assert out == ""
     assert "n = 4096" in err and "cap" in err
+
+
+@pytest.mark.parametrize("spec, distance, predicted, gap", [
+    # variance 3: gamma4 = -12/9, and KL -> gamma4^2/48 = 1/27
+    ('{"kind": "power_density", "params": {"d": 1}}', "kl", 1.0 / 27.0, 3e-3),
+    ('{"kind": "power_density", "params": {"d": 1}}', "chi2", 2.0 / 27.0, 3e-3),
+    # variance 1.1, gamma4 = 3 (m - v^2) / v^2 with m = 1.46
+    ('{"kind": "gauss_scale_mixture", "params": {"atoms": [[0.5, 0.6], [0.5, 1.6]]}}',
+     "kl", (3.0 * (1.46 - 1.21) / 1.21) ** 2 / 48.0, 1.5e-3),
+    ('{"kind": "gauss_scale_mixture", "params": {"atoms": [[0.5, 0.6], [0.5, 1.6]]}}',
+     "chi2", (3.0 * (1.46 - 1.21) / 1.21) ** 2 / 24.0, 5e-4)],
+    ids=["power-kl", "power-chi2", "mixture-kl", "mixture-chi2"])
+def test_rate_standardizes_by_the_model_variance(capsys, spec, distance, predicted, gap):
+    code, out, _ = run(capsys, "rate", "--model", spec, "--distance", distance,
+                       "--n", "16,32,64,128", "--grid", "12x4096")
+    assert code == 0
+    row = dict(zip(*[line.split(",") for line in out.splitlines()[:2]]))
+    assert math.isclose(float(row["predicted_constant"]), predicted, rel_tol=1e-11)
+    assert float(row["relative_gap"]) < gap
+
+
+def test_rate_on_a_scaled_normal_is_zero(capsys):
+    # S_n/(sigma sqrt(n)) is exactly N(0, 1); unstandardized, KL tends to
+    # KL(N(0, 2) || N(0, 1)) = 0.153
+    code, out, _ = run(capsys, "rate", "--model", '{"kind": "normal", "params": {"sigma2": 2}}',
+                       "--distance", "kl", "--n", "16,32")
+    assert code == 0
+    assert all(float(line.split(",")[1]) < 1e-12 for line in out.splitlines()[1:])
+
+
+def test_rate_refuses_a_model_without_variance(capsys, monkeypatch):
+    import renyi_lab.cli as cli
+    from renyi_lab.grids import AnalyticModel
+    uniform = cli.make_model(ModelSpec("uniform", {}))
+    monkeypatch.setattr(cli, "make_model", lambda spec: AnalyticModel(
+        name="unscaled", density=uniform.density, cdf=uniform.cdf))
+    code, out, err = run(capsys, "rate", "--model", "uniform", "--n", "2,4")
+    assert code == 1 and out == ""
+    assert "no positive variance" in err
+
+
+@pytest.mark.parametrize("grid", ["nanx16384", "infx16384"])
+def test_non_finite_grid_exits_1(capsys, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "dist", "--model", "uniform", f"--grid={grid}")
+    assert code == 1 and out == ""
+    assert err == "renyi-lab: error: half_width must be positive and finite\n"
 
 
 def test_rate_bad_n_exits_3(capsys):

@@ -64,6 +64,20 @@ def test_kl_is_renyi_limit(normal_grid):
     assert abs(0.5 * (d_lo.value + d_hi.value) - base) < 1e-6
 
 
+def test_kl_reads_the_pair_support(normal_grid):
+    # kl builds the pair's support, and the order scan after it reuses it
+    p, q = _fresh(pn_of("uniform", 2)), _fresh(normal_grid)
+    m = p.values > 0.0
+    want = float(p.step * np.sum(p.values[m] * (p.log_values[m] - q.log_values[m])))
+    assert kl(p, q) == want
+    slot = vars(p)[_PAIR_SLOT]
+    assert slot[0]() is q
+    renyi_tsallis(p, q, 2.0)
+    assert vars(p)[_PAIR_SLOT][1] is slot[1]
+    # p charges a cell where q is 0
+    assert kl(q, p) == math.inf
+
+
 def test_alpha_monotonicity(normal_grid):
     for name, p, q in smooth_zoo(normal_grid):
         vals = [renyi_tsallis(p, q, a)[0].value for a in ALPHAS]

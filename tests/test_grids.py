@@ -1,4 +1,6 @@
 import math
+import struct
+import warnings
 import weakref
 
 import numpy as np
@@ -67,9 +69,31 @@ def test_uniform_moments(uniform_grid):
     assert abs(m.alpha4 - 9.0 / 5.0) < 1e-5
 
 
+@pytest.mark.parametrize("origin, step", [(np.nan, 0.1), (-np.inf, 0.1), (0.0, np.nan),
+                                          (0.0, np.inf)])
+def test_grid_density_refuses_non_finite_origin_and_step(origin, step):
+    with pytest.raises(ValueError, match="finite"):
+        GridDensity(origin, step, [0.5, 0.5])
+
+
+def test_grid_from_binary_refuses_nan_step(tmp_path):
+    path = tmp_path / "nan.bin"
+    path.write_bytes(struct.pack("<dd", 0.0, math.nan) + np.ones(4, "<f8").tobytes())
+    with pytest.raises(ValueError, match="finite"):
+        grid_from_binary(path)
+
+
 def test_discretize_needs_power_of_two(uniform_model):
     with pytest.raises(ValueError):
         discretize(uniform_model, 12.0, 1000)
+
+
+@pytest.mark.parametrize("half_width", [np.nan, np.inf])
+def test_discretize_refuses_non_finite_half_width(uniform_model, half_width):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="half_width must be positive and finite"):
+            discretize(uniform_model, half_width, 1 << 14)
 
 
 def test_each_n_of_a_sum_samples_the_base_once():
@@ -218,11 +242,13 @@ _SIZES = st.one_of(st.integers(4, 300), st.sampled_from(
      4099, 1 << 14, (1 << 14) + 66, 1 << 17]))
 
 
-def _assert_spline_close(ours, ref, t, orders):
-    """Each derivative order within 1e-13 of scipy's, relative to its
-    largest magnitude at t; NaN exactly where scipy gives NaN."""
+def _assert_spline_close(ours, ref, t, u, orders):
+    """Each derivative order of the spline through y at x0 + i h, taken at
+    t, within 1e-13 of scipy's through y at i, taken at t's offset u from
+    x0 in steps and scaled by h^-nu, relative to its largest magnitude;
+    NaN exactly where scipy gives NaN."""
     for nu in orders:
-        r = (ref.derivative(nu) if nu else ref)(t)
+        r = (ref.derivative(nu) if nu else ref)(u) * ours.h ** -nu
         o = (ours.derivative(nu) if nu else ours)(t)
         nan = np.isnan(r)
         assert np.array_equal(np.isnan(o), nan), nu
@@ -232,7 +258,7 @@ def _assert_spline_close(ours, ref, t, orders):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_SIZES, st.integers(-10, 3), st.integers(-1000, 1000), st.integers(0, 2 ** 32 - 1))
 def test_spline_matches_scipy_cubic_spline(n, k, start, seed):
-    # uniform dyadic nodes: every step is exactly h
+    # uniform dyadic nodes, so (t - x0)/h is t's exact offset
     rng = np.random.default_rng(seed)
     h = 2.0 ** k
     x = h * (start + np.arange(n))
@@ -240,8 +266,8 @@ def test_spline_matches_scipy_cubic_spline(n, k, start, seed):
     # extrapolation beyond both ends, every node, midpoints and NaN
     out = rng.uniform(x[0] - 10.0 * h, x[-1] + 10.0 * h, 50)
     t = np.concatenate([out, x, 0.5 * (x[1:] + x[:-1]), [np.nan]])
-    ours = grids._spline(x, y)
-    _assert_spline_close(ours, CubicSpline(x, y), t, (0, 1, 2))
+    ours = grids._spline(x[0], h, y)
+    _assert_spline_close(ours, CubicSpline(np.arange(n), y), t, (t - x[0]) / h, (0, 1, 2))
     for nu in (0, 1, 2):
         o = ours.derivative(nu) if nu else ours
         scalar = o(float(t[0]))
@@ -250,33 +276,40 @@ def test_spline_matches_scipy_cubic_spline(n, k, start, seed):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(_SIZES, st.integers(0, 2 ** 32 - 1), st.booleans())
-def test_spline_solve_matches_scipy_on_zero_runs_and_irregular_nodes(n, seed, dyadic):
-    # zero runs: the slopes decay through the subnormals; decimal steps
-    # from 997 are uniform only to ~1e-11 relative, so the solve takes its
-    # residual correction with the true steps
+def test_spline_solve_matches_scipy_on_zero_runs_and_decimal_steps(n, seed, dyadic):
+    # zero runs: the slopes decay through the subnormals.  A decimal step
+    # from 997 rounds every node x0 + i h, so each point's offset is taken
+    # from the node that starts its piece, as the spline takes it
     rng = np.random.default_rng(seed)
-    u = (2.0 ** -7 if dyadic else 0.01) * (np.arange(n) + 0.5)
-    x = (-3.0 if dyadic else 997.0) + u
+    h = 2.0 ** -7 if dyadic else 0.01
+    u = h * (np.arange(n) + 0.5)
+    x0 = (-3.0 if dyadic else 997.0) + u[0]
     y = np.exp(-0.5 * (u - 3.0) ** 2) * (1.0 + 0.1 * np.sin(7.0 * u))
     for _ in range(3):
         lo = int(rng.integers(0, n))
         y[lo:lo + int(rng.integers(1, 3000))] = 0.0
-    t = np.concatenate([x, 0.5 * (x[1:] + x[:-1])])
-    _assert_spline_close(grids._spline(x, y), CubicSpline(x, y), t, (0, 1))
+    t = x0 + h * np.concatenate([np.arange(n), np.arange(n - 1) + 0.5])  # nodes, midpoints
+    piece = np.concatenate([np.arange(n - 1), [n - 2], np.arange(n - 1)])
+    offsets = piece + (t - (x0 + h * piece)) / h
+    _assert_spline_close(grids._spline(x0, h, y), CubicSpline(np.arange(n), y), t, offsets,
+                         (0, 1))
 
 
+# x is the node layout (x0, h) of the values y
 @pytest.mark.parametrize("x, y", [
-    (np.arange(3.0), np.ones(3)),                   # fewer than four nodes
-    (np.arange(5.0), np.ones(4)),                   # unequal lengths
-    (np.array([0.0, 2.0, 1.0, 3.0]), np.ones(4)),   # not increasing
-    (np.arange(4.0), np.array([1.0, np.inf, 0.0, 1.0])),
-    (np.arange(4.0), np.array([1.0, np.nan, 0.0, 1.0])),
-    # irregular nodes, and unit steps with one step 1e-5 longer
-    (np.cumsum(np.random.default_rng(1).uniform(0.01, 1.0, 300)), np.ones(300)),
-    (np.arange(300.0) + np.where(np.arange(300) < 150, 0.0, 1e-5), np.ones(300))])
+    ((0.0, 1.0), np.ones(3)),                       # fewer than four nodes
+    ((0.0, 1.0), np.ones((2, 4))),                  # not one row of values
+    ((0.0, -1.0), np.ones(4)),                      # decreasing nodes
+    ((0.0, 1.0), np.array([1.0, np.inf, 0.0, 1.0])),
+    ((0.0, 1.0), np.array([1.0, np.nan, 0.0, 1.0])),
+    ((0.0, 0.0), np.ones(4)),                       # coincident nodes
+    ((np.nan, 1.0), np.ones(4)),                    # a non-finite origin or step
+    ((-np.inf, 1.0), np.ones(4)),
+    ((0.0, np.nan), np.ones(4)),
+    ((0.0, np.inf), np.ones(4))])
 def test_spline_refuses_bad_nodes(x, y):
     with pytest.raises(ValueError):
-        grids._spline(x, y)
+        grids._spline(*x, y)
 
 
 def test_shared_chain_matches_single_n(skewed_model, capsys):

@@ -151,9 +151,8 @@ def test_numeric_profile_matches_full_scan(spec, t_range):
             profile(model, t_range)
         return
     spline = profile(model, t_range).K
-    ref = _spline(ref_ts, ref_ks)
-    assert same_bits(spline.x, ref.x)
-    assert all(same_bits(c, r) for c, r in zip(spline.coefs, ref.coefs, strict=True))
+    ref = _spline(ref_ts[0], (t_range[1] - t_range[0]) / 2000, ref_ks)
+    assert all(same_bits(getattr(spline, f), getattr(ref, f)) for f in ("x0", "h", "y", "s"))
 
 
 def test_numeric_profile_evaluates_the_decayed_run_only(monkeypatch):
@@ -162,7 +161,7 @@ def test_numeric_profile_evaluates_the_decayed_run_only(monkeypatch):
     monkeypatch.setattr(sg, "laplace_eval", lambda p, t: calls.append(t) or laplace_eval(p, t))
     prof = profile(dataclasses.replace(model_of(SKEWED), log_laplace=None))
     # the run reaches the range's right end, so only its left end fails
-    assert prof.t_max == 40.0 and len(prof.K.x) == len(calls) - 1 == 1225
+    assert prof.t_max == 40.0 and len(prof.K.y) == len(calls) - 1 == 1225
 
 
 def test_numeric_profile_refuses_undecayed_density():
