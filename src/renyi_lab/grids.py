@@ -15,9 +15,15 @@ transform per squaring).  The pass multiplies each new power into every
 pending n with that bit set, lowest bit first, and yields n's product as
 soon as its top bit is in; a squaring drops its input after the forward
 transform, so a power lives only while a pending product or the consumer
-of a yielded one needs it.  p_n (like `gaussian_smooth`'s lattice) is
-resampled onto the requested grid by a cubic spline fitted on the nodes
-around the target window.  A pass whose longest product would exceed
+of a yielded one needs it.  Each squaring and each product is cut to
+|x| <= 40 sd sqrt(m), m the summands it holds and sd the base's standard
+deviation: beyond that a Gaussian-type tail is below the smallest double,
+so the cells hold only the transforms' round-off, and the arrays grow
+like sqrt(n) instead of n.  A cut that would drop a value above ALIAS_TOL
+of the array's peak raises AliasingError.  p_n (like `gaussian_smooth`'s
+lattice) is resampled onto the requested grid by a cubic spline fitted on
+the nodes around the target window.  A pass whose longest convolution
+output, a squaring's before its cut included, would exceed
 CHAIN_MAX_POINTS is refused before any transform runs.
 
 The transforms are numpy.fft's, which reproduce scipy.fft bit for bit.
@@ -48,6 +54,10 @@ _ENTROPY_FLOOR = 1e-300
 
 # longest array a convolution chain may produce (2^25 doubles = 256 MiB)
 CHAIN_MAX_POINTS = 1 << 25
+# half-width of a chain array's window, in standard deviations of the sum
+# it holds: a Gaussian-type tail at 40 sd is e^-800, below the smallest
+# double, so the cut drops only the transforms' round-off
+_WINDOW_SD = 40.0
 # chain nodes kept on each side of the resample window: the spline's
 # end conditions reach a node i places inside only through r^i (see
 # _SPLINE_TAPS), so 64 nodes bound the end effect by r^64 ~ 1e-37
@@ -336,6 +346,12 @@ def _spline(x0: float, h: float, y: np.ndarray) -> _UniformCubic:
     return _UniformCubic(float(x0), float(h), y, s)
 
 
+def _sum_origin(a: float, b: float, step: float) -> float:
+    """Left endpoint of the convolution of two grids of the given step
+    whose left endpoints are a and b."""
+    return ((a + 0.5 * step) + (b + 0.5 * step)) - 0.5 * step
+
+
 def _sum_density(vals: np.ndarray, origin: float, step: float) -> GridDensity:
     """A convolution's raw values as a density: clipped at zero, scaled by
     the step and renormalized in place; the renormalization goes to meta."""
@@ -350,8 +366,8 @@ def convolve(p: GridDensity, q: GridDensity) -> GridDensity:
     """Density of the sum of independent variables with densities p, q."""
     if abs(p.step - q.step) > 1e-12 * p.step:
         raise ValueError("grids must share the same step")
-    x0 = (p.origin + 0.5 * p.step) + (q.origin + 0.5 * q.step)
-    return _sum_density(_fftconvolve(p.values, q.values), x0 - 0.5 * p.step, p.step)
+    return _sum_density(_fftconvolve(p.values, q.values),
+                        _sum_origin(p.origin, q.origin, p.step), p.step)
 
 
 def _trimmed(p: GridDensity) -> GridDensity:
@@ -364,6 +380,53 @@ def _trimmed(p: GridDensity) -> GridDensity:
     if lo == 0 and hi == p.n:
         return p
     return GridDensity(p.origin + lo * p.step, p.step, v[lo:hi], meta=dict(p.meta))
+
+
+def _window_drop(origin: float, step: float, n: int, half: float) -> int:
+    """Cells cut from each end of a chain array of n cells from `origin`
+    to keep |x| <= half; the same count a side keeps a symmetric array
+    symmetric, and at least the middle cell stays."""
+    edge = (-origin - half) / step
+    return min(math.floor(edge), (n - 1) // 2) if edge >= 1 else 0
+
+
+def _windowed(p: GridDensity, half: float, model: str, m: int) -> GridDensity:
+    """The chain array p of a sum of m summands cut to |x| <= half.
+    A cut that would drop a value above ALIAS_TOL of p's peak raises
+    AliasingError."""
+    drop = _window_drop(p.origin, p.step, p.n, half)
+    if not drop:
+        return p
+    v = p.values
+    cut = max(v[:drop].max(), v[-drop:].max())
+    if cut > ALIAS_TOL * v.max():
+        raise AliasingError(
+            f"the {_WINDOW_SD:g}-sd chain window of {model!r} at m = {m} would cut "
+            f"{cut / v.max():.3g} of the peak")
+    return GridDensity(p.origin + drop * p.step, p.step, v[drop:p.n - drop].copy(), meta=p.meta)
+
+
+def _chain_longest(power: GridDensity, ns: list, half: Callable) -> int:
+    """Longest convolution output, before its cut, of the `sum_densities`
+    pass over ns from the power-0 grid `power`: the pass's geometry
+    without its arithmetic."""
+    step, longest = power.step, 0
+
+    def cut(origin, n, m):
+        nonlocal longest
+        longest = max(longest, n)
+        drop = _window_drop(origin, step, n, half(m))
+        return origin + drop * step, n - 2 * drop
+
+    pw, acc = (power.origin, power.n), {}
+    for j in range(ns[-1].bit_length()):
+        if j:
+            pw = cut(_sum_origin(pw[0], pw[0], step), 2 * pw[1] - 1, 1 << j)
+        for n in ns:
+            if n >> j & 1:
+                acc[n] = (cut(_sum_origin(acc[n][0], pw[0], step), acc[n][1] + pw[1] - 1,
+                              n & ((2 << j) - 1)) if n in acc else pw)
+    return longest
 
 
 @dataclass(frozen=True)
@@ -398,8 +461,19 @@ def sum_densities(model: AnalyticModel, ns: Iterable[int],
     drops its input after the forward transform, so no power outlives the
     pending products and the consumers of yielded products that use it.
 
-    Raises ChainTooLongError before any transform when the product for
-    max(ns), the longest array of the pass, would exceed CHAIN_MAX_POINTS.
+    Every squaring and every product is cut to |x| <= _WINDOW_SD sd
+    sqrt(m), m the summands it holds and sd the root second moment of the
+    untrimmed base, after its renormalization; the window grows like
+    sqrt(m) while the support grows like m, so it binds once m is large
+    enough (from m ~ 12 for skewed, m ~ 533 for uniform).  The window is
+    centred on 0, the mean of every zoo model.  A cut that would drop a
+    value above ALIAS_TOL of the array's peak raises AliasingError naming
+    the model and m, so a mean that carries S_m out of the window is
+    refused, not cut.
+
+    Raises ChainTooLongError before any transform when the longest
+    convolution output of the pass, a squaring's before its cut included,
+    would exceed CHAIN_MAX_POINTS.
     """
     ns = [int(n) for n in ns]
     if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
@@ -410,10 +484,13 @@ def sum_densities(model: AnalyticModel, ns: Iterable[int],
         raise AliasingError(
             f"density of {model.name!r} not decayed at |x| = {cfg.half_width}; "
             f"try half_width >= {1.5 * cfg.half_width:g}")
+    sd = math.sqrt(base.step * float(np.sum(base.x ** 2 * base.values)))
+    def half(m):
+        return _WINDOW_SD * sd * math.sqrt(m)
     power = _trimmed(base)
     n_max = ns[-1]
-    longest = n_max * (power.n - 1) + 1
-    if n_max > 1 and longest > CHAIN_MAX_POINTS:
+    longest = _chain_longest(power, ns, half)
+    if longest > CHAIN_MAX_POINTS:
         raise ChainTooLongError(
             f"p_n for n = {n_max} needs a convolution array of {longest} points "
             f"(cap {CHAIN_MAX_POINTS}); use a smaller n or a coarser grid")
@@ -427,15 +504,17 @@ def sum_densities(model: AnalyticModel, ns: Iterable[int],
     squared = []                      # mass drift of power j at index j - 1
     for j in range(n_max.bit_length()):
         if j:
-            held, centre, step = [power.values], power.origin + 0.5 * power.step, power.step
+            held, origin, step = [power.values], power.origin, power.step
             power = None  # held now has the pass's only reference
-            power = _sum_density(_fftsquare(held), (centre + centre) - 0.5 * step, step)
+            power = _sum_density(_fftsquare(held), _sum_origin(origin, origin, step), step)
             squared.append(power.meta["mass_drift"])
+            power = _windowed(power, half(1 << j), model.name, 1 << j)
         for n in ns:
             if not n >> j & 1:
                 continue
             if n in acc:
-                acc[n] = convolve(acc[n], power)
+                m = n & ((2 << j) - 1)  # the summands acc[n] now holds
+                acc[n] = _windowed(convolve(acc[n], power), half(m), model.name, m)
                 drifts[n].append(acc[n].meta["mass_drift"])
             else:
                 acc[n] = power

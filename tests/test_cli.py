@@ -135,10 +135,23 @@ def test_experiment_config_refuses_nan_alpha():
 
 def test_rate_refuses_oversized_chain(capsys):
     code, out, err = run(capsys, "rate", "--model", SKEWED, "--distance", "kl",
-                         "--n", "16,4096")
+                         "--n", "16,262144")
     assert code == 1
     assert out == ""
-    assert "n = 4096" in err and "cap" in err
+    assert "n = 262144" in err and "cap" in err
+
+
+def test_rate_reaches_n_4096_on_skewed(capsys):
+    # the windowed chain's arrays grow like sqrt(n), so n = 4096 fits the
+    # cap; n KL tends to gamma3^2 / 12
+    code, out, _ = run(capsys, "rate", "--model", SKEWED, "--distance", "kl",
+                       "--n", "2048,4096")
+    assert code == 0
+    rows = [dict(zip(out.splitlines()[0].split(","), line.split(",")))
+            for line in out.splitlines()[1:]]
+    assert rows[-1]["n"] == "4096"
+    n_kl = 4096 * float(rows[-1]["value"])
+    assert abs(n_kl / float(rows[-1]["predicted_constant"]) - 1.0) < 1e-4
 
 
 @pytest.mark.parametrize("spec, distance, predicted, gap", [

@@ -148,18 +148,39 @@ def _reference_convolve(p, q):
     return GridDensity(x0 - 0.5 * p.step, p.step, vals / (p.step * vals.sum()))
 
 
-def _reference_sum_density(model, n, cfg=GridConfig()):
-    """p_n by the per-n path: repeated squaring with fftconvolve, then a
-    cubic spline through every node of the chain."""
-    work = grids._trimmed(discretize(model, cfg.half_width, cfg.points))
-    acc = None
+def _reference_window(p, half):
+    """p cut to |x| <= half, the same number of cells from each end."""
+    drop = min(math.floor((-p.origin - half) / p.step), (p.n - 1) // 2)
+    if drop <= 0:
+        return p
+    return GridDensity(p.origin + drop * p.step, p.step, p.values[drop:p.n - drop])
+
+
+def _reference_product(model, n, cfg=GridConfig()):
+    """base^n by the per-n path: repeated squaring with fftconvolve, each
+    product cut to 40 standard deviations of the sum it holds."""
+    base = discretize(model, cfg.half_width, cfg.points)
+    sd = math.sqrt(base.step * float(np.sum(base.x ** 2 * base.values)))
+    work, k_work = grids._trimmed(base), 1
+    acc, k_acc = None, 0
     m = n
     while m:
         if m & 1:
-            acc = work if acc is None else _reference_convolve(acc, work)
+            k_acc += k_work
+            acc = (work if acc is None else
+                   _reference_window(_reference_convolve(acc, work), 40 * sd * math.sqrt(k_acc)))
         m >>= 1
         if m:
-            work = _reference_convolve(work, work)
+            k_work *= 2
+            work = _reference_window(_reference_convolve(work, work),
+                                     40 * sd * math.sqrt(k_work))
+    return acc
+
+
+def _reference_sum_density(model, n, cfg=GridConfig()):
+    """p_n by the per-n path: `_reference_product`, then a cubic spline
+    through every node of the chain."""
+    acc = _reference_product(model, n, cfg)
     root_n = math.sqrt(n)
     xs = acc.x
     step = 2.0 * cfg.half_width / cfg.points
@@ -367,8 +388,15 @@ def test_chain_diagnostics(skewed_model):
         assert meta["conv_count"] == n.bit_length() + bin(n).count("1") - 2
         assert len(meta["conv_mass_drifts"]) == meta["conv_count"]
         assert max(abs(d) for d in meta["conv_mass_drifts"]) < 1e-12
-        # the skewed base keeps its whole grid, so p_n's array is n*(16384-1)+1
-        assert meta["chain_max_len"] == n * 16383 + 1
+        # the skewed base keeps its whole grid, so p_n's array is
+        # n*(16384-1)+1 long, 12n a side, until the window (40 sd, sd ~ 1,
+        # so 40 sqrt(n) a side) is the narrower: from n = 12 on
+        assert meta["chain_max_len"] == _reference_product(skewed_model, n).n
+        step = 24.0 / 16384
+        if n == 6:
+            assert meta["chain_max_len"] == n * 16383 + 1
+        else:
+            assert 0.0 <= 0.5 * step * meta["chain_max_len"] - 40.0 * math.sqrt(n) < 2 * step
     for ns in ((), (0, 4), (6, 6), (12, 6)):
         with pytest.raises(ValueError):
             next(sum_densities(skewed_model, ns))
@@ -382,15 +410,69 @@ def test_chain_length_cap(skewed_model, monkeypatch):
     def refuse(*args, **kwargs):
         raise _TransformStarted
     monkeypatch.setattr(np.fft, "rfft", refuse)
-    # n = 4096 needs ~67M points: refused before the first transform, also
-    # when smaller n come first
+    # windowed arrays grow like sqrt(n): n = 2^18's last squaring outputs
+    # ~39.5M points before its cut, refused before the first transform,
+    # also when smaller n come first
     with pytest.raises(ChainTooLongError):
-        normalized_sum_density(skewed_model, 4096)
+        normalized_sum_density(skewed_model, 1 << 18)
     with pytest.raises(ChainTooLongError):
-        next(sum_densities(skewed_model, (16, 4096)))
-    # n = 2048 needs 33552385 <= 2^25 points: the pass starts
+        next(sum_densities(skewed_model, (16, 1 << 18)))
+    # n = 2^17 needs ~28.0M <= 2^25 points: the pass starts
     with pytest.raises(_TransformStarted):
-        next(sum_densities(skewed_model, (2048,)))
+        next(sum_densities(skewed_model, (1 << 17,)))
+
+
+@pytest.mark.parametrize("spec, ns", [(SKEWED, (3, 12, 20, 64)), ("uniform", (5, 600)),
+                                      ({"kind": "power_density", "params": {"d": 1}}, (96,))],
+                         ids=["skewed", "uniform", "power_density"])
+def test_chain_length_cap_is_the_longest_array(spec, ns, monkeypatch):
+    # the cap is checked against the longest convolution output the pass
+    # allocates, a squaring's before its cut included: a cap at that
+    # length lets the pass run, one point less refuses it
+    model = model_of(spec)
+    lengths = []
+
+    def recorded(transform):
+        def spy(*args):
+            out = transform(*args)
+            lengths.append(len(out))
+            return out
+        return spy
+    monkeypatch.setattr(grids, "_fftsquare", recorded(grids._fftsquare))
+    monkeypatch.setattr(grids, "_fftconvolve", recorded(grids._fftconvolve))
+    products = [item.product.n for item in sum_densities(model, ns)]
+    assert max(products) < max(lengths)
+    monkeypatch.setattr(grids, "CHAIN_MAX_POINTS", max(lengths))
+    assert [item.product.n for item in sum_densities(model, ns)] == products
+    monkeypatch.setattr(grids, "CHAIN_MAX_POINTS", max(lengths) - 1)
+    with pytest.raises(ChainTooLongError, match=f"{max(lengths)} points"):
+        next(sum_densities(model, ns))
+
+
+def test_chain_window_guard(skewed_model, monkeypatch):
+    # a 3-sd window would cut real mass: refused, naming the model and m
+    monkeypatch.setattr(grids, "_WINDOW_SD", 3.0)
+    with pytest.raises(AliasingError, match=r"bernoulli_gauss.*m = 2\b"):
+        normalized_sum_density(skewed_model, 16)
+
+
+@pytest.mark.parametrize("spec", [
+    SKEWED, {"kind": "power_density", "params": {"d": 1}},
+    {"kind": "gauss_scale_mixture", "params": {"atoms": [[0.5, 0.6], [0.5, 1.6]]}}],
+    ids=["skewed", "power_density", "mixture"])
+def test_chain_window_drops_only_round_off(spec, monkeypatch):
+    # the window against no window: a cell at the resample's 1e-13 floor
+    # may flip, hence 2e-13 of the peak
+    model = model_of(spec)
+    ns = (16, 64, 256)
+    windowed = [item.density() for item in sum_densities(model, ns)]
+    monkeypatch.setattr(grids, "_WINDOW_SD", math.inf)
+    for n, p, item in zip(ns, windowed, sum_densities(model, ns)):
+        q = item.density()
+        assert n == 16 or p.meta["chain_max_len"] < q.meta["chain_max_len"]  # it binds
+        assert np.max(np.abs(p.values - q.values)) <= 2e-13 * np.max(q.values), n
+        ref = kl(q, gaussian_grid(q))
+        assert abs(kl(p, gaussian_grid(p)) - ref) <= 1e-10 * ref, n
 
 
 def test_aliasing_guard():
