@@ -4,43 +4,52 @@ rate-constant reproduction, and subgaussianity checkers.
 
 The package runs on numpy and the standard library alone; scipy is a
 test dependency, the reference its ports are checked against.
-The CLI module (`renyi_lab.cli`) is not imported with the package;
-`ExperimentConfig` and `run_experiment` load it on first access."""
+Importing the package loads only `errors` and `reports`: the first
+access of any other public name loads the whole API at once (numpy and
+every numeric module), so a caller pays the import in one place.  The
+CLI module (`renyi_lab.cli`) is not imported with the package;
+`ExperimentConfig` and `run_experiment` load it on first access, and
+each of its commands imports only the modules it runs."""
 
 from .errors import (AliasingError, ChainTooLongError, ConstraintError,
                      GridTooNarrowError, LabError, OscillationError,
                      SeriesError, TailDominanceError)
 from .reports import FAILS, HOLDS, INCONCLUSIVE, CheckReport
-from .grids import (AnalyticModel, GridConfig, GridDensity, MomentSummary,
-                    SumProduct, convolve, discretize, entropy, entropy_power,
-                    gaussian_grid, gaussian_smooth, grid_from_binary,
-                    grid_from_csv, grid_to_binary, grid_to_csv, laplace_eval,
-                    moment_summary, normalized_sum_density,
-                    pointwise_density_bound_check, sum_densities, wasserstein2)
-from .divergences import (DivergenceResult, entropy_young,
-                          gaussian_relative_entropy, infinite_order, kl,
-                          orlicz_norm, pearson_vajda, relative_fisher,
-                          renyi_tsallis, tv_hellinger)
-from .hermite import (NormalMomentVector, SeriesValue,
-                      chi2_from_normal_moments, exponential_series_eval,
-                      hermite_binomial_check, hermite_coefficients,
-                      hermite_eval, moments_from_normal_moments,
-                      normal_moments)
-from .edgeworth import (CumulantVector, EdgeworthPolynomial,
-                        cumulants_from_moments, edgeworth_density,
-                        expansion_constants, fit_leading_constant,
-                        lyapunov_ratio, q_polynomial, truncated_tsallis,
-                        truncated_tsallis_leading_term)
-from .subgauss import (LogLaplaceProfile, dinf_clt_check, esscher,
-                       esscher_stats, esscher_variance_lower_bound,
-                       periodic_clt_check, profile, quartic_classify,
-                       separation_check, strict_subgauss_check)
-from .models import (MODEL_DOCS, ModelSpec, bernoulli_gauss_construct,
-                     bernoulli_log_laplace, bernoulli_subgauss_constant,
-                     make_model, mixture_chi2, mixture_finiteness,
-                     sin_power_coefficients)
 
 __version__ = "0.1.0"
+
+
+def _api() -> dict:
+    """Import the numeric modules; returns the public names they export."""
+    from .grids import (AnalyticModel, GridConfig, GridDensity, MomentSummary,
+                        SumProduct, convolve, discretize, entropy, entropy_power,
+                        gaussian_grid, gaussian_smooth, grid_from_binary,
+                        grid_from_csv, grid_to_binary, grid_to_csv, laplace_eval,
+                        moment_summary, normalized_sum_density,
+                        pointwise_density_bound_check, sum_densities, wasserstein2)
+    from .divergences import (DivergenceResult, entropy_young,
+                              gaussian_relative_entropy, infinite_order, kl,
+                              orlicz_norm, pearson_vajda, relative_fisher,
+                              renyi_tsallis, tv_hellinger)
+    from .hermite import (NormalMomentVector, SeriesValue,
+                          chi2_from_normal_moments, exponential_series_eval,
+                          hermite_binomial_check, hermite_coefficients,
+                          hermite_eval, moments_from_normal_moments,
+                          normal_moments)
+    from .edgeworth import (CumulantVector, EdgeworthPolynomial,
+                            cumulants_from_moments, edgeworth_density,
+                            expansion_constants, fit_leading_constant,
+                            lyapunov_ratio, q_polynomial, truncated_tsallis,
+                            truncated_tsallis_leading_term)
+    from .subgauss import (LogLaplaceProfile, dinf_clt_check, esscher,
+                           esscher_stats, esscher_variance_lower_bound,
+                           periodic_clt_check, profile, quartic_classify,
+                           separation_check, strict_subgauss_check)
+    from .models import (MODEL_DOCS, ModelSpec, bernoulli_gauss_construct,
+                         bernoulli_log_laplace, bernoulli_subgauss_constant,
+                         make_model, mixture_chi2, mixture_finiteness,
+                         sin_power_coefficients)
+    return locals()
 
 
 def __getattr__(name):
@@ -49,4 +58,10 @@ def __getattr__(name):
     if name in ("ExperimentConfig", "run_experiment"):
         from . import cli
         return getattr(cli, name)
+    # `from . import cli` asks for the attribute before importing the
+    # submodule; that probe must not load the API
+    if name != "cli" and not name.startswith("_"):
+        globals().update(_api())
+        if name in globals():
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,20 +16,24 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .divergences import (kl, pearson_vajda_result, renyi_tsallis, infinite_order,
-                          tv_hellinger)
-from .edgeworth import CumulantVector, expansion_constants, fit_leading_constant, q_polynomial
 from .errors import LabError
-from .grids import GridConfig, gaussian_grid, normalized_sum_density, sum_densities
-from .hermite import normal_moments
-from .models import MODEL_DOCS, ModelSpec, make_model
 from .reports import FAILS, HOLDS, INCONCLUSIVE
-from .subgauss import dinf_clt_check, profile, separation_check, strict_subgauss_check
+
+if TYPE_CHECKING:
+    from .grids import GridConfig
+    from .models import ModelSpec
+
+# Each command imports the numeric modules it runs at its top, in the main
+# thread: `--help` or an unknown command loads no numpy, and `zoo` no divergence.
 
 _EXIT = {HOLDS: 0, FAILS: 1, INCONCLUSIVE: 2}
+
+
+def _default_grid():
+    from .grids import GridConfig
+    return GridConfig()
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,7 @@ class ExperimentConfig:
     model: ModelSpec
     distance: str                       # kl | chi2 | renyi | tinf
     n_values: tuple
-    grid: GridConfig = field(default_factory=GridConfig)
+    grid: GridConfig = field(default_factory=_default_grid)
     output: str | None = None
     format: str = "csv"
     alpha: float = 2.0
@@ -67,6 +71,7 @@ def _fmt(v: float) -> str:
 
 
 def _parse_model(text: str) -> ModelSpec:
+    from .models import ModelSpec
     if text.startswith("@"):
         with open(text[1:]) as fh:
             text = fh.read()
@@ -78,6 +83,7 @@ def _parse_model(text: str) -> ModelSpec:
 
 
 def _parse_grid(text: str) -> GridConfig:
+    from .grids import GridConfig
     w, _, n = text.partition("x")
     return GridConfig(half_width=float(w), points=int(n))
 
@@ -112,6 +118,7 @@ def _emit(rows, header, out, as_json):
 def _orders(p, q, alpha):
     """D_alpha, T_alpha and the tail bound of p from q; alpha = 1 is KL
     (D = T) and alpha = inf is D_inf, T_inf."""
+    from .divergences import infinite_order, kl, renyi_tsallis
     if alpha == 1.0:
         d = kl(p, q)
         return d, d, 0.0
@@ -123,6 +130,8 @@ def _orders(p, q, alpha):
 
 
 def _cmd_dist(args) -> int:
+    from .grids import gaussian_grid, normalized_sum_density
+    from .models import make_model
     model = make_model(_parse_model(args.model))
     p = normalized_sum_density(model, args.n, args.grid)
     q = gaussian_grid(p)
@@ -135,13 +144,27 @@ def _cmd_dist(args) -> int:
 def _distance_value(item, distance, order, sigma):
     """The rate value and its tail bound for one n of the stream: the
     chi^2 distance, or T at the given order (KL at 1, T_inf at inf), of
-    the standardized sum S_n/(sigma sqrt(n))."""
+    the standardized sum S_n/(sigma sqrt(n)).  It runs in the pool."""
+    from .divergences import pearson_vajda_result
+    from .grids import gaussian_grid
     p = item.density(sigma)
     q = gaussian_grid(p)
     if distance == "chi2":
         chi2 = pearson_vajda_result(p, q, 2.0)
         return chi2.value, chi2.tail_bound
     return _orders(p, q, order)[1:]
+
+
+def _threads() -> int:
+    """RENYI_LAB_THREADS as a worker count; 0 (or unset) picks the default."""
+    text = os.environ.get("RENYI_LAB_THREADS", "0")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = -1
+    if workers < 0:
+        raise ValueError(f"RENYI_LAB_THREADS must be a non-negative integer, not {text!r}")
+    return workers
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
@@ -153,6 +176,10 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     cumulants kappa_k/sigma^k.  One streaming pass of the convolution
     chain serves every n; each n's resample and distance go to the pool
     as soon as its product is complete, while the pass squares on."""
+    # edgeworth imports divergences, so the pool's jobs find it loaded
+    from .edgeworth import CumulantVector, expansion_constants, fit_leading_constant
+    from .grids import sum_densities
+    from .models import make_model
     model = make_model(cfg.model)
     var = model.variance
     if var is None or not var > 0:
@@ -161,8 +188,8 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     # the Renyi order of the distance; T_alpha ~ (alpha/2) chi^2 for small
     # distances, and T_inf has no expansion constant
     order = {"kl": 1.0, "chi2": 2.0, "tinf": math.inf}.get(cfg.distance, cfg.alpha)
-    workers = int(os.environ.get("RENYI_LAB_THREADS", "0")) or min(4, len(cfg.n_values))
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    workers = _threads() or min(4, len(cfg.n_values))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = []
         for item in sum_densities(model, cfg.n_values, cfg.grid):
             futures.append(pool.submit(_distance_value, item, cfg.distance, order, sigma))
@@ -201,6 +228,8 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_hermite(args) -> int:
+    from .hermite import normal_moments
+    from .models import make_model
     model = make_model(_parse_model(args.model))
     c = normal_moments(model, K=args.k)
     rows = [(k, c[k]) for k in range(len(c))]
@@ -209,7 +238,9 @@ def _cmd_hermite(args) -> int:
 
 
 def _cmd_edgeworth(args) -> int:
+    from .edgeworth import CumulantVector, q_polynomial
     if args.model:
+        from .models import make_model
         model = make_model(_parse_model(args.model))
         if model.cumulants is None:
             raise LabError(f"model {model.name!r} has no closed-form cumulants")
@@ -229,6 +260,8 @@ def _cmd_edgeworth(args) -> int:
 
 
 def _check_report(args, which) -> int:
+    from .models import make_model
+    from .subgauss import dinf_clt_check, profile, separation_check, strict_subgauss_check
     model = make_model(_parse_model(args.model))
     prof = profile(model)
     if which == "subgauss":
@@ -247,6 +280,7 @@ def _check_report(args, which) -> int:
 
 
 def _cmd_zoo(args) -> int:
+    from .models import MODEL_DOCS, make_model
     if args.action == "list" and not args.model:
         for kind in sorted(MODEL_DOCS):
             print(f"{kind}: {MODEL_DOCS[kind]}")
@@ -314,7 +348,7 @@ def build_parser() -> _Parser:
     cd.set_defaults(fn=lambda a: _check_report(a, "dinf"))
 
     z = sp.add_parser("zoo", help="list models or describe one")
-    z.add_argument("action", nargs="?", default="list")
+    z.add_argument("action", nargs="?", default="list", choices=["list", "describe"])
     z.add_argument("--model", default=None)
     z.set_defaults(fn=_cmd_zoo)
     return ap

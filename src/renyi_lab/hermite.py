@@ -102,6 +102,8 @@ def normal_moments(p, K: int = 40) -> NormalMomentVector:
     to K = 40.  The first non-finite c_k (H_k overflowing at large K)
     raises SeriesError; no later order is evaluated.
     """
+    if K < 0:
+        raise ValueError(f"K must be a non-negative order, not {K}")
     if isinstance(p, AnalyticModel):
         if p.density is None:
             raise ValueError(f"model {p.name!r} has no density")

@@ -183,10 +183,10 @@ def test_rate_on_a_scaled_normal_is_zero(capsys):
 
 
 def test_rate_refuses_a_model_without_variance(capsys, monkeypatch):
-    import renyi_lab.cli as cli
+    import renyi_lab.models as models
     from renyi_lab.grids import AnalyticModel
-    uniform = cli.make_model(ModelSpec("uniform", {}))
-    monkeypatch.setattr(cli, "make_model", lambda spec: AnalyticModel(
+    uniform = models.make_model(ModelSpec("uniform", {}))
+    monkeypatch.setattr(models, "make_model", lambda spec: AnalyticModel(
         name="unscaled", density=uniform.density, cdf=uniform.cdf))
     code, out, err = run(capsys, "rate", "--model", "uniform", "--n", "2,4")
     assert code == 1 and out == ""
@@ -223,6 +223,14 @@ def test_hermite_output(capsys):
     vals = [float(l.split(",")[1]) for l in lines[1:]]
     assert vals[0] == 1.0
     assert all(abs(v) < 1e-10 for v in vals[1:4])  # c_1..c_3 vanish
+
+
+def test_hermite_negative_order_exits_1(capsys):
+    code, out, err = run(capsys, "hermite", "--model", "uniform", "--k", "-1")
+    assert code == 1 and out == ""
+    assert err.startswith("renyi-lab: error:") and len(err.splitlines()) == 1, err
+    code, out, _ = run(capsys, "hermite", "--model", "uniform", "--k", "0")
+    assert code == 0 and out == "k,c_k\r\n0,1\r\n"
 
 
 def test_hermite_overflow_exits_1(capsys):
@@ -280,6 +288,32 @@ def test_zoo_without_model_exits_3(capsys):
     assert capsys.readouterr().err.startswith("renyi-lab: error: ")
 
 
+def test_zoo_refuses_an_unknown_action(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zoo", "frobnicate", "--model", "uniform"])
+    assert exc.value.code == 3
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+    _, described, _ = run(capsys, "zoo", "--model", "uniform")
+    assert run(capsys, "zoo", "describe", "--model", "uniform") == (0, described, "")
+
+
+@pytest.mark.parametrize("threads", ["abc", "-3", "2.5", ""])
+def test_rate_refuses_a_bad_thread_count(capsys, monkeypatch, threads):
+    monkeypatch.setenv("RENYI_LAB_THREADS", threads)
+    code, out, err = run(capsys, "rate", "--model", "uniform", "--n", "2,4")
+    assert code == 1 and out == ""
+    assert err == ("renyi-lab: error: RENYI_LAB_THREADS must be a non-negative "
+                   f"integer, not {threads!r}\n")
+
+
+def test_rate_thread_count_zero_is_the_default(capsys, monkeypatch):
+    argv = ("rate", "--model", "uniform", "--n", "2,4")
+    monkeypatch.delenv("RENYI_LAB_THREADS", raising=False)
+    unset = run(capsys, *argv)
+    monkeypatch.setenv("RENYI_LAB_THREADS", "0")
+    assert run(capsys, *argv) == unset and unset[0] == 0
+
+
 def test_model_from_file(tmp_path, capsys):
     f = tmp_path / "model.json"
     f.write_text(SKEWED)
@@ -311,6 +345,45 @@ def test_unknown_model_exits_1(capsys):
 def test_cli_import_skips_scipy_signal():
     code = "import sys, renyi_lab.cli; sys.exit('scipy.signal' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def _loaded_by(argv):
+    """numpy's presence and the renyi_lab modules loaded by importing the
+    CLI and running argv (if any) in a fresh interpreter."""
+    code = f"""
+import contextlib, io, json, sys
+import renyi_lab.cli
+argv = {argv!r}
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            renyi_lab.cli.main(argv)
+        except SystemExit:
+            pass
+print(json.dumps(["numpy" in sys.modules,
+                  sorted(m for m in sys.modules if m.startswith("renyi_lab."))]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    has_numpy, modules = json.loads(proc.stdout)
+    return has_numpy, {m.split(".")[1] for m in modules}
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["frobnicate"], ["zoo", "frobnicate"]])
+def test_cli_import_and_parse_load_no_numpy(argv):
+    assert _loaded_by(argv) == (False, {"cli", "errors", "reports"})
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["zoo", "list"], {"divergences", "hermite", "edgeworth", "subgauss"}),
+    (["zoo", "--model", "sin_power"], {"divergences", "hermite", "edgeworth", "subgauss"}),
+    (["check-subgauss", "--model", "sin_power"], {"divergences", "hermite", "edgeworth"}),
+    (["check-clt-dinf", "--model", "sin_power"], {"divergences", "hermite", "edgeworth"}),
+    (["rate", "--model", "uniform", "--n", "2,4"], {"subgauss"}),
+])
+def test_commands_load_only_what_they_run(argv, absent):
+    _, modules = _loaded_by(argv)
+    assert "models" in modules and not modules & absent, modules
 
 
 def test_short_commands_skip_scipy():

@@ -192,6 +192,15 @@ def test_series_refuses_non_finite_moments():
             chi2_from_normal_moments(NormalMomentVector((1.0, 0.0, bad, 0.0)))
 
 
+def test_normal_moments_refuses_a_negative_order():
+    uniform = model_of("uniform")
+    for p in (uniform, model_of("normal"), pn_of("uniform", 1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            normal_moments(p, K=-1)
+        c = normal_moments(p, K=0)
+        assert len(c) == 1 and abs(c[0] - 1.0) < 1e-12
+
+
 def test_series_divergence_gate():
     # N(0, lam): c_2m = (lam-1)^m (2m-1)!!; term ratio -> (lam-1)^2,
     # so lam = 2 (infinite chi^2) trips the gate while lam = 1.5 converges

@@ -3,7 +3,12 @@ the model zoo never reaches up into the checker layer, and every cubic
 resample runs through one helper."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import renyi_lab
 
@@ -95,3 +100,38 @@ def test_one_resample_path():
     # every cubic resample (p_n, gaussian_smooth) goes through one
     # windowed helper; the numeric K profile is the spline's only other use
     assert sorted(_references("_spline")) == [("grids", "_spline_at"), ("subgauss", "profile")]
+
+
+def _exports():
+    """(module, name) of every name the package __init__ imports from a
+    submodule, eager or lazy."""
+    tree = ast.parse(Path(renyi_lab.__file__).read_text())
+    return sorted((node.module, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                  for alias in node.names)
+
+
+@pytest.mark.parametrize("access", ["attribute", "from-import"])
+def test_lazy_exports_resolve_to_their_submodules(access):
+    # the API loads on first use; either way of asking gives the
+    # submodule's own object, and the bare import loads no numpy
+    exports = _exports()
+    assert len(exports) == 81
+    names = ", ".join(name for _, name in exports)
+    first = (f"from renyi_lab import {names}\ngot = [{names}]" if access == "from-import"
+             else "got = [getattr(renyi_lab, name) for _, name in exports]")
+    code = f"""
+import importlib, json, sys
+import renyi_lab
+assert "numpy" not in sys.modules
+exports = {exports!r}
+{first}
+bad = [name for (mod, name), obj in zip(exports, got)
+       if obj is not getattr(importlib.import_module("renyi_lab." + mod), name)]
+bad += [name for name in ("ExperimentConfig", "run_experiment")
+        if getattr(renyi_lab, name) is not getattr(importlib.import_module("renyi_lab.cli"), name)]
+print(json.dumps(bad))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
