@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import LabError
@@ -29,21 +29,18 @@ if TYPE_CHECKING:
 # thread: `--help` or an unknown command loads no numpy, and `zoo` no divergence.
 
 _EXIT = {HOLDS: 0, FAILS: 1, INCONCLUSIVE: 2}
-
-
-def _default_grid():
-    from .grids import GridConfig
-    return GridConfig()
+# the Renyi order of each rate distance, None for renyi's own alpha;
+# T_alpha ~ (alpha/2) chi^2 for small distances, and T_inf has no
+# expansion constant
+_ORDERS = {"kl": 1.0, "chi2": 2.0, "renyi": None, "tinf": math.inf}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: ModelSpec
-    distance: str                       # kl | chi2 | renyi | tinf
+    distance: str                       # a key of _ORDERS
     n_values: tuple
-    grid: GridConfig = field(default_factory=_default_grid)
-    output: str | None = None
-    format: str = "csv"
+    grid: GridConfig | None = None      # None is GridConfig()
     alpha: float = 2.0
 
     def __post_init__(self):
@@ -51,12 +48,8 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(ns, ns[1:])) or not ns:
             raise ValueError("n_values must be nonempty and strictly increasing")
         object.__setattr__(self, "n_values", ns)
-        if self.grid.points & (self.grid.points - 1):
-            raise ValueError("grid points must be a power of two")
-        if self.distance not in ("kl", "chi2", "renyi", "tinf"):
+        if self.distance not in _ORDERS:
             raise ValueError(f"unknown distance {self.distance!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
         if math.isnan(self.alpha):
             raise ValueError("alpha must not be NaN")
 
@@ -96,9 +89,10 @@ def _parse_ints(text: str):
     return [int(v) for v in text.split(",") if v]
 
 
-def _emit(rows, header, out, as_json):
-    """Write rows either as CSV (12 significant digits) or JSON."""
-    if as_json:
+def _emit(rows, header, args):
+    """Write rows as args.format, CSV (12 significant digits) or JSON, to
+    args.out or stdout."""
+    if args.format == "json":
         payload = [dict(zip(header, r)) for r in rows]
         text = json.dumps(payload, indent=2, default=float) + "\n"
     else:
@@ -108,8 +102,8 @@ def _emit(rows, header, out, as_json):
         for r in rows:
             w.writerow([_fmt(v) if isinstance(v, float) else v for v in r])
         text = buf.getvalue()
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -136,8 +130,7 @@ def _cmd_dist(args) -> int:
     p = normalized_sum_density(model, args.n, args.grid)
     q = gaussian_grid(p)
     rows = [(alpha, *_orders(p, q, alpha)) for alpha in args.alpha]
-    _emit(rows, ["alpha", "D_alpha", "T_alpha", "tail_bound"],
-          args.out, args.json or args.format == "json")
+    _emit(rows, ["alpha", "D_alpha", "T_alpha", "tail_bound"], args)
     return 0
 
 
@@ -169,7 +162,7 @@ def _threads() -> int:
 
 def run_experiment(cfg: ExperimentConfig) -> list:
     """One row per n: value, tail_bound, fitted constant, predicted
-    constant, relative gap.  Returns the rows; writes cfg.output if set.
+    constant, relative gap.
 
     The distances are those of S_n/(sigma sqrt(n)), sigma^2 the model's
     variance, and the constants are predicted from the standardized
@@ -185,9 +178,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     if var is None or not var > 0:
         raise LabError(f"model {model.name!r} has no positive variance to standardize by")
     sigma = math.sqrt(var)
-    # the Renyi order of the distance; T_alpha ~ (alpha/2) chi^2 for small
-    # distances, and T_inf has no expansion constant
-    order = {"kl": 1.0, "chi2": 2.0, "tinf": math.inf}.get(cfg.distance, cfg.alpha)
+    order = _ORDERS[cfg.distance] or cfg.alpha
     workers = _threads() or min(4, len(cfg.n_values))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = []
@@ -209,21 +200,16 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     else:
         fitted = math.nan
     gap = abs(fitted - predicted) / abs(predicted) if predicted else math.nan
-    rows = [(n, v, tb, fitted, predicted, gap)
+    return [(n, v, tb, fitted, predicted, gap)
             for n, (v, tb) in zip(cfg.n_values, results)]
-    header = ["n", "value", "tail_bound", "fitted_constant",
-              "predicted_constant", "relative_gap"]
-    _emit(rows, header, cfg.output, cfg.format == "json")
-    return rows
 
 
 def _cmd_rate(args) -> int:
     cfg = ExperimentConfig(
         model=_parse_model(args.model), distance=args.distance,
-        n_values=tuple(args.n), grid=args.grid,
-        output=args.out, format="json" if args.json else args.format,
-        alpha=args.alpha_value)
-    run_experiment(cfg)
+        n_values=tuple(args.n), grid=args.grid, alpha=args.alpha_value)
+    _emit(run_experiment(cfg), ["n", "value", "tail_bound", "fitted_constant",
+                                "predicted_constant", "relative_gap"], args)
     return 0
 
 
@@ -233,7 +219,7 @@ def _cmd_hermite(args) -> int:
     model = make_model(_parse_model(args.model))
     c = normal_moments(model, K=args.k)
     rows = [(k, c[k]) for k in range(len(c))]
-    _emit(rows, ["k", "c_k"], args.out, args.json or args.format == "json")
+    _emit(rows, ["k", "c_k"], args)
     return 0
 
 
@@ -254,8 +240,7 @@ def _cmd_edgeworth(args) -> int:
             co = poly.coefficients[deg]
             if co:
                 rows.append((nu, deg, co))
-    _emit(rows, ["nu", "degree", "coefficient"],
-          args.out, args.json or args.format == "json")
+    _emit(rows, ["nu", "degree", "coefficient"], args)
     return 0
 
 
@@ -296,12 +281,14 @@ def _cmd_zoo(args) -> int:
     return 0
 
 
-def _add_common(sub):
-    sub.add_argument("--grid", type=_parse_grid, default="12x16384",
-                     help="window as WxN, e.g. 12x16384")
+def _add_common(sub, grid=False):
+    if grid:
+        sub.add_argument("--grid", type=_parse_grid, default=None,
+                         help="window as WxN, e.g. 8x4096")
     sub.add_argument("--out", default=None)
     sub.add_argument("--format", default="csv", choices=["csv", "json"])
-    sub.add_argument("--json", action="store_true", help="shortcut for --format json")
+    sub.add_argument("--json", action="store_const", dest="format", const="json",
+                     help="shortcut for --format json")
 
 
 def build_parser() -> _Parser:
@@ -313,16 +300,16 @@ def build_parser() -> _Parser:
     d.add_argument("--alpha", type=_parse_floats, default="2",
                    help="comma-separated orders; 1 means KL, inf allowed")
     d.add_argument("--n", type=int, default=1)
-    _add_common(d)
+    _add_common(d, grid=True)
     d.set_defaults(fn=_cmd_dist)
 
     r = sp.add_parser("rate", help="distance decay over a list of n")
     r.add_argument("--model", required=True)
-    r.add_argument("--distance", default="chi2", choices=["kl", "chi2", "renyi", "tinf"])
+    r.add_argument("--distance", default="chi2", choices=list(_ORDERS))
     r.add_argument("--alpha-value", type=float, default=2.0)
     r.add_argument("--n", type=_parse_ints, default="16,32,64",
                    help="comma-separated, strictly increasing")
-    _add_common(r)
+    _add_common(r, grid=True)
     r.set_defaults(fn=_cmd_rate)
 
     h = sp.add_parser("hermite", help="normal moments c_k = E H_k(X)")
@@ -332,8 +319,9 @@ def build_parser() -> _Parser:
     h.set_defaults(fn=_cmd_hermite)
 
     e = sp.add_parser("edgeworth", help="correction polynomial coefficients")
-    e.add_argument("--model", default=None)
-    e.add_argument("--gammas", default=None, help="comma-separated cumulants gamma_1,...")
+    source = e.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model")
+    source.add_argument("--gammas", help="comma-separated cumulants gamma_1,...")
     e.add_argument("--m", type=int, default=4, help="expansion order (emits q_1..q_{m-2})")
     _add_common(e)
     e.set_defaults(fn=_cmd_edgeworth)
@@ -357,9 +345,6 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "model", None) is None and args.command == "edgeworth" \
-            and args.gammas is None:
-        ap.exit(3, "renyi-lab: error: edgeworth needs --model or --gammas\n")
     if args.command == "zoo" and args.model is None and args.action != "list":
         ap.exit(3, f"renyi-lab: error: zoo {args.action} needs --model\n")
     try:

@@ -69,8 +69,6 @@ _SPLINE_MARGIN = 64
 _R = 2.0 - math.sqrt(3.0)
 _SPLINE_TAPS = (-_R) ** np.abs(np.arange(-40, 41)) / (2.0 * math.sqrt(3.0))
 _SPLINE_END = (-_R) ** np.arange(_SPLINE_MARGIN) / (math.sqrt(3.0) * _R)
-# systems of fewer unknowns are solved densely
-_SPLINE_DENSE = 256
 
 
 @dataclass(frozen=True)
@@ -302,13 +300,20 @@ class _UniformCubic:
 
 def _uniform_solve(g: np.ndarray) -> np.ndarray:
     """s with U s = g, U the not-a-knot slope system on unit steps: rows
-    (1, 2), then (1, 4, 1) inside, then (2, 1); len(g) >= _SPLINE_DENSE.
-    The filter satisfies every inner row; each end row's residual e then
-    moves the slopes by e (-r)^i / (sqrt(3) r), i nodes from that end,
-    the decaying solution of the end block."""
-    s = np.convolve(g, _SPLINE_TAPS, "same")
-    s[:_SPLINE_MARGIN] += (g[0] - s[0] - 2.0 * s[1]) * _SPLINE_END
-    s[-_SPLINE_MARGIN:] += (g[-1] - 2.0 * s[-2] - s[-1]) * _SPLINE_END[::-1]
+    (1, 2), then (1, 4, 1) inside, then (2, 1); len(g) >= 4.
+    The filter satisfies every inner row, and so does the mode
+    (-r)^i / (sqrt(3) r), i nodes from an end, cut at _SPLINE_MARGIN
+    nodes.  It moves that end's row by 1 and the other end's by
+    c = (2 (-r)^(n-2) + (-r)^(n-1)) / (sqrt(3) r) while the cut mode
+    reaches it, else 0; the two end amplitudes solve the 2x2 system of
+    the end rows' residuals."""
+    n = len(g)
+    m = min(n, _SPLINE_MARGIN)
+    s = np.convolve(g, _SPLINE_TAPS)[40:40 + n]
+    c = 2.0 * _SPLINE_END[n - 2] + _SPLINE_END[n - 1] if n <= m else 0.0
+    e0, e1 = g[0] - s[0] - 2.0 * s[1], g[-1] - 2.0 * s[-2] - s[-1]
+    s[:m] += (e0 - c * e1) / (1.0 - c * c) * _SPLINE_END[:m]
+    s[-m:] += (e1 - c * e0) / (1.0 - c * c) * _SPLINE_END[m - 1::-1]
     return s
 
 
@@ -316,10 +321,9 @@ def _spline(x0: float, h: float, y: np.ndarray) -> _UniformCubic:
     """Not-a-knot cubic spline through the values y at the nodes x0 + i h.
 
     scipy.interpolate.CubicSpline's tridiagonal system for the node
-    slopes, with every step h.  A system of fewer than _SPLINE_DENSE
-    unknowns is solved densely, a larger one by `_uniform_solve`.  Only
-    y and the slopes are kept: each piece's coefficients are formed when
-    evaluated.
+    slopes, with every step h, solved by `_uniform_solve` at any size.
+    Only y and the slopes are kept: each piece's coefficients are formed
+    when evaluated.
     """
     y = np.asarray(y, dtype=float)
     n = len(y) if y.ndim == 1 else 0
@@ -337,13 +341,7 @@ def _spline(x0: float, h: float, y: np.ndarray) -> _UniformCubic:
     b[0] = ((h + 4 * h) * h * slope[0] + h ** 2 * slope[1]) / (2 * h)
     b[-1] = (h ** 2 * slope[-2] + (4 * h + h) * h * slope[-1]) / (2 * h)
     del slope
-    if n < _SPLINE_DENSE:
-        u = 4 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
-        u[0, :2] = u[-1, :-3:-1] = 1, 2  # the end rows (1, 2) and (2, 1)
-        s = np.linalg.solve(h * u, b)
-    else:
-        s = _uniform_solve(b) / h
-    return _UniformCubic(float(x0), float(h), y, s)
+    return _UniformCubic(float(x0), float(h), y, _uniform_solve(b) / h)
 
 
 def _sum_origin(a: float, b: float, step: float) -> float:

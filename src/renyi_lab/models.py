@@ -35,51 +35,30 @@ def _phi(x, var=1.0):
 
 # Cephes ndtr.c (scipy.special.ndtr): erfc(z) = e^{-z^2} P(z)/Q(z) for
 # 1 <= z < 8 and e^{-z^2} R(z)/S(z) beyond, erf(x) = x T(x^2)/U(x^2) for
-# |x| <= 1; highest power first, and Q, S, U have an implied leading 1
+# |x| <= 1; highest power first.  np.polyval rounds as Cephes polevl
+# does (y = y x + c from the top down), and Cephes p1evl's implied leading
+# 1 is stored, so the values equal Cephes' bit for bit
 _ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
            4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
            9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
-_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
            9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
            1.65666309194161350182E3, 5.57535340817727675546E2)
 _ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
            6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
-_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+_ERFC_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
            1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
 _ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
           7.00332514112805075473E3, 5.55923013010394962768E4)
-_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
           2.26290000613890934246E4, 4.92673942608635921086E4)
 _MAXLOG = 7.09782712893383996843E2  # log of the largest double
 _SQRT1_2 = math.sqrt(0.5)
 
 
-def _polevl(x, coef):
-    """coef[0] x^d + ... + coef[d] for an array x, rounded as Cephes
-    polevl rounds: y = y x + c from the top down (in place)."""
-    y = coef[0] * x
-    y += coef[1]
-    for c in coef[2:]:
-        y *= x
-        y += c
-    return y
-
-
-def _p1evl(x, coef):
-    """Cephes p1evl: _polevl with an implied leading coefficient 1."""
-    y = x + coef[0]
-    for c in coef[1:]:
-        y *= x
-        y += c
-    return y
-
-
 def _erf_inner(x):
     """Cephes erf for |x| <= 1."""
-    z = x * x
-    y = x * _polevl(z, _ERF_T)
-    y /= _p1evl(z, _ERF_U)
-    return y
+    return x * np.polyval(_ERF_T, x * x) / np.polyval(_ERF_U, x * x)
 
 
 def _erfc_outer(z):
@@ -91,12 +70,9 @@ def _erfc_outer(z):
     if not live.all():
         z, e = z[live], e[live]
     y = np.fromiter(map(math.exp, memoryview(e)), float, count=len(e))
-    p, q = _polevl(z, _ERFC_P), _p1evl(z, _ERFC_Q)
     far = z >= 8.0
-    if far.any():
-        p[far], q[far] = _polevl(z[far], _ERFC_R), _p1evl(z[far], _ERFC_S)
-    y *= p
-    y /= q
+    y *= np.where(far, np.polyval(_ERFC_R, z), np.polyval(_ERFC_P, z))
+    y /= np.where(far, np.polyval(_ERFC_S, z), np.polyval(_ERFC_Q, z))
     if len(y) == len(live):
         return y
     out = np.zeros(len(live))

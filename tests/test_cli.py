@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from renyi_lab.cli import ExperimentConfig, main
+from renyi_lab.cli import ExperimentConfig, main, run_experiment
 from renyi_lab.models import ModelSpec
 
 SKEWED = '{"kind": "bernoulli_gauss", "params": {"p": 0.2, "beta": 1.127}}'
@@ -258,6 +258,48 @@ def test_edgeworth_requires_input(capsys):
     capsys.readouterr()
 
 
+def test_edgeworth_refuses_model_and_gammas(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["edgeworth", "--gammas", "0,1,0.6", "--model", "uniform"])
+    assert exc.value.code == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "not allowed with argument" in out.err
+
+
+@pytest.mark.parametrize("command", [["hermite", "--model", "uniform"],
+                                     ["edgeworth", "--gammas", "0,1,0.6"]])
+def test_grid_is_refused_where_it_is_not_read(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--grid", "1x8"])
+    assert exc.value.code == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments: --grid 1x8" in out.err
+
+
+@pytest.mark.parametrize("flags, fmt", [(["--format", "csv", "--json"], "json"),
+                                        (["--json", "--format", "csv"], "csv")])
+def test_the_last_format_flag_wins(capsys, flags, fmt):
+    code, out, _ = run(capsys, "edgeworth", "--gammas", "0,1,0.6", "--m", "3", *flags)
+    assert code == 0
+    assert out.startswith("[") if fmt == "json" else out.startswith("nu,degree,coefficient")
+
+
+def test_run_experiment_returns_the_rows_rate_prints(capsys):
+    rows = run_experiment(ExperimentConfig(model=ModelSpec("uniform", {}), distance="chi2",
+                                           n_values=(2, 4)))
+    assert capsys.readouterr().out == ""
+    code, out, _ = run(capsys, "rate", "--model", "uniform", "--n", "2,4", "--json")
+    assert code == 0
+    assert [tuple(r.values()) for r in json.loads(out)] == rows
+
+
+def test_rate_refuses_a_grid_that_is_not_a_power_of_two(capsys):
+    code, out, err = run(capsys, "rate", "--model", "uniform", "--n", "2,4",
+                         "--grid", "12x1000")
+    assert code == 1 and out == ""
+    assert err == "renyi-lab: error: points must be a power of two, at least 16\n"
+
+
 def test_check_subgauss_exit_codes(capsys):
     code, out, _ = run(capsys, "check-subgauss", "--model", "uniform")
     assert code == 0
@@ -369,7 +411,8 @@ print(json.dumps(["numpy" in sys.modules,
     return has_numpy, {m.split(".")[1] for m in modules}
 
 
-@pytest.mark.parametrize("argv", [[], ["--help"], ["frobnicate"], ["zoo", "frobnicate"]])
+@pytest.mark.parametrize("argv", [[], ["--help"], ["frobnicate"], ["zoo", "frobnicate"],
+                                  ["dist"], ["rate"]])
 def test_cli_import_and_parse_load_no_numpy(argv):
     assert _loaded_by(argv) == (False, {"cli", "errors", "reports"})
 
