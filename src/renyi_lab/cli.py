@@ -265,11 +265,12 @@ def _check_report(args, which) -> int:
 
 
 def _cmd_zoo(args) -> int:
-    from .models import MODEL_DOCS, make_model
     if args.action == "list" and not args.model:
+        from .zoo import MODEL_DOCS
         for kind in sorted(MODEL_DOCS):
             print(f"{kind}: {MODEL_DOCS[kind]}")
         return 0
+    from .models import make_model
     model = make_model(_parse_model(args.model))
     info = {"name": model.name,
             "cumulants": list(model.cumulants) if model.cumulants else None,

@@ -60,7 +60,8 @@ def _tail_estimate(g: np.ndarray, step: float) -> float:
 class _Support(NamedTuple):
     """The order-free part of the power-ratio integrand of w against q."""
     size: int             # length of the window
-    cells: np.ndarray     # indices where w > 0 and q > 0 (and `keep`)
+    # where w > 0 and q > 0 (and `keep`); a slice a:b when they are one run
+    cells: np.ndarray | slice
     q_null: bool          # w charges a cell where q == 0
     log_w: np.ndarray     # log w on `cells`
     log_q: np.ndarray     # log q on `cells`
@@ -72,6 +73,8 @@ def _support(w, q, keep=None, logs=None) -> _Support:
     window, which are then indexed instead of taken afresh."""
     pos = w > 0.0 if keep is None else keep & (w > 0.0)
     cells = np.flatnonzero(pos & (q > 0.0))
+    if len(cells) and cells[-1] - cells[0] == len(cells) - 1:
+        cells = slice(int(cells[0]), int(cells[-1]) + 1)
     log_w, log_q = ((np.log(w[cells]), np.log(q[cells])) if logs is None
                     else (logs[0][cells], logs[1][cells]))
     return _Support(len(w), cells, bool(np.any(pos & (q == 0.0))), log_w, log_q)
@@ -82,15 +85,33 @@ def _power_ratio(s: _Support, alpha):
     full length, so that every caller's sum groups alike; None if
     alpha > 1 and w charges a q-null cell, if a log g exceeds log _HUGE,
     or if g has not decayed at a window edge.  Only the order-dependent
-    work is done here, so one support serves a whole order scan."""
+    work is done here, so one support serves a whole order scan.
+
+    When the cells are one run a:b, log g is written straight into
+    g[a:b] and exponentiated there, so the scan builds no full-length
+    temporary and scatters nothing; the operations, and so the bits, are
+    those of the gapped path, which gathers log g and scatters e^(log g).
+    """
     if alpha > 1 and s.q_null:
         return None
-    lg = alpha * s.log_w + (1.0 - alpha) * s.log_q
-    if np.any(lg > _LOG_HUGE):
-        return None
     g = np.zeros(s.size)
-    g[s.cells] = np.exp(lg)
-    peak = g.max()
+    run = isinstance(s.cells, slice)
+    if run:
+        lg = g[s.cells]
+        np.multiply(s.log_w, alpha, out=lg)
+        lg += (1.0 - alpha) * s.log_q
+    else:
+        lg = alpha * s.log_w + (1.0 - alpha) * s.log_q
+    if lg.size == 0:
+        return g
+    # the logs are finite, so the largest log g decides the gate
+    if lg.max() > _LOG_HUGE:
+        return None
+    np.exp(lg, out=lg)
+    if not run:
+        g[s.cells] = lg
+    # g is 0 off the cells and e^(log g) >= 0 on them
+    peak = lg.max()
     if peak > 0 and max(g[0], g[-1]) > _DECAY_REL * peak:
         return None
     return g
@@ -251,7 +272,7 @@ def relative_fisher(p: GridDensity, q: GridDensity) -> float:
         raise ValueError("window too small for Fisher information")
     if np.any(qv[lo:hi] <= 0.0):
         raise ValueError("reference density vanishes inside the window")
-    f = np.log(pv[lo:hi]) - np.log(qv[lo:hi])
+    f = p.log_values[lo:hi] - q.log_values[lo:hi]
     h = p.step
     d4 = (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12 * h)
     d2 = (f[3:-1] - f[1:-3]) / (2 * h)

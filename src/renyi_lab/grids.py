@@ -584,8 +584,11 @@ def _tilt(p: GridDensity, t: float):
     cell raises TailDominanceError naming its edge, a NaN t ValueError."""
     if math.isnan(t):
         raise ValueError("tilt t must not be NaN")
+    # t x, e^(tx) and p e^(tx) are formed in one buffer
+    w = np.multiply(p.x, float(t))
     with np.errstate(over="ignore", invalid="ignore"):
-        w = p.values * np.exp(float(t) * p.x)
+        np.exp(w, out=w)
+        w *= p.values
     peak = w.max()
     if not math.isfinite(peak):
         w = np.where(p.values > 0, w, 0.0)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConstraintError
 from .grids import AnalyticModel
+from .zoo import MODEL_DOCS  # re-exported beside the constructors
 
 SQRT3 = math.sqrt(3.0)
 
@@ -576,22 +577,6 @@ _CONSTRUCTORS = {
     "sin_power": sin_power_model,
     "counterexample_30_4": counterexample_30_4_model,
 }
-
-MODEL_DOCS = {
-    "normal": "N(0, sigma2); params: sigma2 (default 1)",
-    "uniform": "uniform on [-sqrt3, sqrt3], variance 1; no params",
-    "bernoulli_sym": "symmetric Bernoulli on {-1, +1}; profile-only; no params",
-    "bernoulli_asym": "standardized asymmetric Bernoulli; params: p",
-    "bernoulli_sum": "sum of weighted symmetric Bernoullis; params: weights",
-    "gauss_scale_mixture": "N(0, s2) mixed over s2; params: atoms [[w, s2], ...] "
-                           "or kappa/upper for the parametric tail",
-    "power_density": "x^(2d) phi(x)/(2d-1)!!, d in {1,2,3}; params: d",
-    "bernoulli_gauss": "a*xi + b*Z tangent to e^{beta t^2/2}; params: p, beta",
-    "trig_periodic": "(1 - c Q(x)) phi(x) with trig component; params: a, b, a0, c",
-    "sin_power": "psi = 1 - c sin^m t; params: m (even), c (default c_max/2)",
-    "counterexample_30_4": "psi = 1 - c (1-4 sin^2 t)^2 sin^4 t; params: c",
-}
-
 
 def make_model(spec) -> AnalyticModel:
     """Build a model from a ModelSpec or a {"kind", "params"} mapping."""

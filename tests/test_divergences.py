@@ -313,7 +313,22 @@ def _assert_scan_matches_per_call(p, q, orders):
 @pytest.mark.parametrize("spec", SCAN_MODELS, ids=["skewed", "uniform", "power", "mixture"])
 def test_order_scan_bitwise_per_call(spec, n):
     p = pn_of(spec, n)
-    _assert_scan_matches_per_call(p, gaussian_grid(p), SCAN_ORDERS)
+    q = gaussian_grid(p)
+    # q > 0 on the window, so the pair is scanned in place iff p's support
+    # is one run (at n = 1 a cdf-sampled tail leaves isolated cells)
+    support = np.flatnonzero(p.values)
+    one_run = support[-1] - support[0] == len(support) - 1
+    mid = int(np.argmax(p.values))
+    gapped = _zeroed(p, slice(mid + 3, mid + 40))
+    null_inside = _zeroed(q, slice(mid - 40, mid - 3))
+    null_at_end = _zeroed(q, slice(support[-1] - 30, None))
+    # an interior run of zeros, or q-null cells inside p's support, split
+    # the cells, which are then scattered; q-null cells at the end of the
+    # support split nothing
+    for pair, run in [((p, q), one_run), ((gapped, q), False),
+                      ((p, null_inside), False), ((p, null_at_end), one_run)]:
+        _assert_scan_matches_per_call(*pair, SCAN_ORDERS)
+        assert isinstance(_pair_support(*pair).cells, slice) == run
 
 
 @pytest.mark.parametrize("case", GATE_CASES)
@@ -325,6 +340,12 @@ def test_order_scan_bitwise_per_call_on_gated_pairs(normal_grid, case):
 
 def _fresh(g):
     return GridDensity(g.origin, g.step, g.values.copy())
+
+
+def _zeroed(g, cells):
+    v = g.values.copy()
+    v[cells] = 0.0
+    return GridDensity(g.origin, g.step, v)
 
 
 def test_pair_support_follows_interleaved_pairs():

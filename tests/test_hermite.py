@@ -1,8 +1,11 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renyi_lab import (GridDensity, NormalMomentVector, SeriesError,
                        TailDominanceError, chi2_from_normal_moments,
@@ -227,6 +230,55 @@ def test_tail_dominance_gate():
     narrow = discretize(model_of("normal"), 6.0, 1 << 12)
     with pytest.raises(TailDominanceError):
         normal_moments(narrow, K=40)
+
+
+def _full_gate_moments(p, K):
+    """normal_moments on a grid with the full |H_k| p pass at every order,
+    as it gated before the probe bound: c_0.. up to the first order that
+    fails the gate, and that order (None if every order passes)."""
+    w = p.step * p.values
+    cs = [1.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, hk in enumerate(hermite._hermite_seq(K, p.x), start=1):
+            integ = np.abs(hk) * p.values
+            peak = integ.max()
+            if peak > 0 and max(integ[0], integ[-1]) > 1e-12 * peak:
+                return cs, k
+            cs.append(float(np.sum(w * hk)))
+    return cs, None
+
+
+@st.composite
+def _edge_gated_grids(draw):
+    """A narrow bump whose peak lies between two probe cells, with edge
+    cells within a factor 2 of 1e-12 of the peak of |H_k| p at a drawn k."""
+    n = draw(st.integers(512, 4096))
+    half = draw(st.floats(3.0, 9.0))
+    stride = n // hermite._PROBES
+    centre = stride * draw(st.integers(16, hermite._PROBES - 16)) + draw(st.integers(1, stride - 1))
+    width = draw(st.floats(0.2, 40.0))
+    i = np.arange(n)
+    v = np.exp(-0.5 * ((i - centre) / width) ** 2)
+    p = GridDensity(-half, 2.0 * half / n, v)
+    K = draw(st.integers(1, 40))
+    h = np.abs(hermite_eval(draw(st.integers(1, K)), p.x))
+    peak = float(np.max(h * v))
+    for edge in (0, -1):
+        if draw(st.booleans()):
+            v[edge] = draw(st.floats(0.5, 2.0)) * 1e-12 * peak / h[edge]
+    return GridDensity(p.origin, p.step, v), K
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_edge_gated_grids())
+def test_normal_moments_probe_gate_matches_full_pass(case):
+    p, K = case
+    want, failed_at = _full_gate_moments(p, K)
+    if failed_at is None:
+        assert same_bits(normal_moments(p, K).values, want)
+    else:
+        with pytest.raises(TailDominanceError, match=re.escape(f"H_{failed_at} p ")):
+            normal_moments(p, K)
 
 
 def test_pointwise_series_gate():

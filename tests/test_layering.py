@@ -13,7 +13,7 @@ import pytest
 import renyi_lab
 
 LAYERS = {
-    "errors": 0, "reports": 0,
+    "errors": 0, "reports": 0, "zoo": 0,
     "grids": 1,
     "divergences": 2, "hermite": 2, "models": 2,
     "edgeworth": 3, "subgauss": 3,

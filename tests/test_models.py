@@ -26,6 +26,9 @@ def test_make_model_kinds_and_errors():
         "normal", "uniform", "bernoulli_sym", "bernoulli_asym", "bernoulli_sum",
         "gauss_scale_mixture", "power_density", "bernoulli_gauss",
         "trig_periodic", "sin_power", "counterexample_30_4"}
+    # the catalogue lives apart from the constructors, for `zoo list`
+    assert MODEL_DOCS is models.MODEL_DOCS
+    assert set(MODEL_DOCS) == set(models._CONSTRUCTORS)
 
 
 def test_uniform_model_basics(uniform_model):
