@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 def _api() -> dict:
     """Import the numeric modules; returns the public names they export."""
     from .grids import (AnalyticModel, GridConfig, GridDensity, MomentSummary,
-                        SumProduct, convolve, discretize, entropy, entropy_power,
+                        convolve, discretize, entropy, entropy_power,
                         gaussian_grid, gaussian_smooth, grid_from_binary,
                         grid_from_csv, grid_to_binary, grid_to_csv, laplace_eval,
                         moment_summary, normalized_sum_density,

@@ -12,9 +12,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -78,7 +76,11 @@ def _parse_model(text: str) -> ModelSpec:
 def _parse_grid(text: str) -> GridConfig:
     from .grids import GridConfig
     w, _, n = text.partition("x")
-    return GridConfig(half_width=float(w), points=int(n))
+    half_width, points = float(w), int(n)
+    try:
+        return GridConfig(half_width, points)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_floats(text: str):
@@ -103,8 +105,11 @@ def _emit(rows, header, args):
             w.writerow([_fmt(v) if isinstance(v, float) else v for v in r])
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise LabError(f"cannot write {args.out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -134,30 +139,17 @@ def _cmd_dist(args) -> int:
     return 0
 
 
-def _distance_value(item, distance, order, sigma):
+def _distance_value(p, distance, order):
     """The rate value and its tail bound for one n of the stream: the
     chi^2 distance, or T at the given order (KL at 1, T_inf at inf), of
-    the standardized sum S_n/(sigma sqrt(n)).  It runs in the pool."""
+    p from the standard normal."""
     from .divergences import pearson_vajda_result
     from .grids import gaussian_grid
-    p = item.density(sigma)
     q = gaussian_grid(p)
     if distance == "chi2":
         chi2 = pearson_vajda_result(p, q, 2.0)
         return chi2.value, chi2.tail_bound
     return _orders(p, q, order)[1:]
-
-
-def _threads() -> int:
-    """RENYI_LAB_THREADS as a worker count; 0 (or unset) picks the default."""
-    text = os.environ.get("RENYI_LAB_THREADS", "0")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = -1
-    if workers < 0:
-        raise ValueError(f"RENYI_LAB_THREADS must be a non-negative integer, not {text!r}")
-    return workers
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
@@ -167,9 +159,8 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     The distances are those of S_n/(sigma sqrt(n)), sigma^2 the model's
     variance, and the constants are predicted from the standardized
     cumulants kappa_k/sigma^k.  One streaming pass of the convolution
-    chain serves every n; each n's resample and distance go to the pool
-    as soon as its product is complete, while the pass squares on."""
-    # edgeworth imports divergences, so the pool's jobs find it loaded
+    chain serves every n; each n's distance is taken as soon as its
+    density is complete, before the pass squares on."""
     from .edgeworth import CumulantVector, expansion_constants, fit_leading_constant
     from .grids import sum_densities
     from .models import make_model
@@ -179,13 +170,8 @@ def run_experiment(cfg: ExperimentConfig) -> list:
         raise LabError(f"model {model.name!r} has no positive variance to standardize by")
     sigma = math.sqrt(var)
     order = _ORDERS[cfg.distance] or cfg.alpha
-    workers = _threads() or min(4, len(cfg.n_values))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = []
-        for item in sum_densities(model, cfg.n_values, cfg.grid):
-            futures.append(pool.submit(_distance_value, item, cfg.distance, order, sigma))
-            del item  # the pass frees a power once no job holds it
-        results = [f.result() for f in futures]
+    results = [_distance_value(p, cfg.distance, order)
+               for p in sum_densities(model, cfg.n_values, cfg.grid, sigma)]
     values = [v for v, _ in results]
     gam = tuple(c / var ** (k / 2) for k, c in enumerate(model.cumulants or (0.0, var), 1))
     const = expansion_constants(CumulantVector(gam + (0.0,) * max(0, 4 - len(gam))))
@@ -350,7 +336,7 @@ def main(argv=None) -> int:
         ap.exit(3, f"renyi-lab: error: zoo {args.action} needs --model\n")
     try:
         return args.fn(args)
-    except (json.JSONDecodeError, FileNotFoundError) as exc:
+    except (json.JSONDecodeError, OSError) as exc:
         print(f"renyi-lab: parse error: {exc}", file=sys.stderr)
         return 3
     except (LabError, ValueError) as exc:

@@ -44,6 +44,17 @@ def _window_radius(p: GridDensity) -> float:
     return float(max(abs(first), abs(last)))
 
 
+def _same_grid(p: GridDensity, q: GridDensity) -> None:
+    """Refuse a pair on different grids, whose values the integrals would
+    pair cell by cell; origin and step may differ by 1e-12 of p's step,
+    as `grids.convolve` allows for the step."""
+    tol = 1e-12 * p.step
+    for what, a, b, off in (("length", p.n, q.n, 0), ("step", p.step, q.step, tol),
+                            ("origin", p.origin, q.origin, tol)):
+        if abs(a - b) > off:
+            raise ValueError(f"grids differ in {what}: {a!r} and {b!r}")
+
+
 def _tail_estimate(g: np.ndarray, step: float) -> float:
     """Geometric extrapolation of the integrand beyond the window."""
     tb = 0.0
@@ -122,7 +133,9 @@ def _pair_support(p: GridDensity, q: GridDensity) -> _Support:
     with.  The pair is matched by identity, as `GridDensity.log_values`
     is; the slot holds q only through a weak reference, so neither
     density lives longer for it, and a thread that races another on the
-    same pair at worst builds the same support twice."""
+    same pair at worst builds the same support twice.  A pair on different
+    grids raises ValueError."""
+    _same_grid(p, q)
     slot = vars(p).get(_PAIR_SLOT)
     if slot is not None and slot[0]() is q:
         return slot[1]
@@ -176,6 +189,7 @@ def kl(p: GridDensity, q: GridDensity) -> float:
 
 def tv_hellinger(p: GridDensity, q: GridDensity):
     """Total variation int |p-q| (in [0,2]) and the Hellinger distance."""
+    _same_grid(p, q)
     tv = float(p.step * np.sum(np.abs(p.values - q.values)))
     h2 = 0.5 * float(p.step * np.sum((np.sqrt(p.values) - np.sqrt(q.values)) ** 2))
     return tv, math.sqrt(max(h2, 0.0))
@@ -188,6 +202,7 @@ def pearson_vajda_result(p: GridDensity, q: GridDensity, alpha: float) -> Diverg
     _finite_order(alpha)
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
+    _same_grid(p, q)
     cutoff = _window_radius(p)
     g = _power_ratio(_support(np.abs(p.values - q.values), q.values), alpha)
     if g is None:
@@ -207,6 +222,7 @@ def infinite_order(p: GridDensity, q: GridDensity, q_floor: float = 1e-300):
     normal the sup is attained inside the support, and the tail beyond
     the window is covered by the pointwise bound machinery upstream.
     """
+    _same_grid(p, q)
     m = q.values > q_floor
     if not np.any(m):
         raise ValueError("reference density vanishes on the whole window")
@@ -264,6 +280,7 @@ def relative_fisher(p: GridDensity, q: GridDensity) -> float:
     by two points per side; raises OscillationError when the 2nd- and
     4th-order derivative estimates disagree (rough data).
     """
+    _same_grid(p, q)
     pv, qv = p.values, q.values
     floor = 1e-10 * pv.max()
     idx = np.nonzero(pv > floor)[0]

@@ -12,10 +12,10 @@ from `sum_densities`, one streaming pass over the binary powers
 base^(2^j) of the trimmed base density, each the self-convolution of the
 one before (real FFTs of zero-padded expanding arrays, one forward
 transform per squaring).  The pass multiplies each new power into every
-pending n with that bit set, lowest bit first, and yields n's product as
-soon as its top bit is in; a squaring drops its input after the forward
-transform, so a power lives only while a pending product or the consumer
-of a yielded one needs it.  Each squaring and each product is cut to
+pending n with that bit set, lowest bit first, and resamples and yields
+p_n as soon as its top bit is in; a squaring drops its input after the
+forward transform, so a power lives only while a pending product needs
+it.  Each squaring and each product is cut to
 |x| <= 40 sd sqrt(m), m the summands it holds and sd the base's standard
 deviation: beyond that a Gaussian-type tail is below the smallest double,
 so the cells hold only the transforms' round-off, and the arrays grow
@@ -71,10 +71,22 @@ _SPLINE_TAPS = (-_R) ** np.abs(np.arange(-40, 41)) / (2.0 * math.sqrt(3.0))
 _SPLINE_END = (-_R) ** np.arange(_SPLINE_MARGIN) / (math.sqrt(3.0) * _R)
 
 
+def _check_grid(half_width: float, points: int) -> None:
+    """Refuse a window that is not positive and finite, or a point count
+    that is not a power of two of at least 16."""
+    if not (math.isfinite(half_width) and half_width > 0):
+        raise ValueError("half_width must be positive and finite")
+    if points < 16 or points & (points - 1):
+        raise ValueError("points must be a power of two, at least 16")
+
+
 @dataclass(frozen=True)
 class GridConfig:
     half_width: float = 12.0
     points: int = 1 << 14
+
+    def __post_init__(self):
+        _check_grid(self.half_width, self.points)
 
 
 @dataclass(frozen=True)
@@ -180,10 +192,7 @@ def discretize(model: AnalyticModel, half_width: float, points: int) -> GridDens
     closed-form CDF, which is what makes densities with jumps (uniform)
     behave; otherwise midpoint sampling.
     """
-    if not (math.isfinite(half_width) and half_width > 0):
-        raise ValueError("half_width must be positive and finite")
-    if points < 16 or points & (points - 1):
-        raise ValueError("points must be a power of two, at least 16")
+    _check_grid(half_width, points)
     if model.density is None and model.cdf is None:
         raise ValueError(f"model {model.name!r} has no density")
     step = 2.0 * half_width / points
@@ -427,37 +436,21 @@ def _chain_longest(power: GridDensity, ns: list, half: Callable) -> int:
     return longest
 
 
-@dataclass(frozen=True)
-class SumProduct:
-    """The convolution power base^n of one model's base density on the
-    chain grid, as `sum_densities` completes it; for n = 1 the product is
-    the untrimmed base itself.  `meta` holds the chain diagnostics that
-    `density` puts into p_n's meta."""
-    n: int
-    product: GridDensity
-    grid: GridConfig
-    meta: dict = field(compare=False, repr=False)
-
-    def density(self, sigma: float = 1.0) -> GridDensity:
-        """The density of S_n/(sigma sqrt(n)) on the requested grid: p_n
-        for the default sigma = 1, the standardized sum for sigma^2 the
-        model's variance."""
-        p = (self.product if self.n == 1 and sigma == 1.0
-             else _resample_sum(self.product, self.n, self.grid, sigma))
-        p.meta.update(self.meta)
-        return p
-
-
-def sum_densities(model: AnalyticModel, ns: Iterable[int],
-                  grid_cfg: GridConfig | None = None) -> Iterator[SumProduct]:
-    """Yield the product base^n for each n of the strictly increasing ns.
+def sum_densities(model: AnalyticModel, ns: Iterable[int], grid_cfg: GridConfig | None = None,
+                  sigma: float = 1.0) -> Iterator[GridDensity]:
+    """Yield the density of S_n/(sigma sqrt(n)) on the requested grid for
+    each n of the strictly increasing ns: p_n for the default sigma = 1,
+    the standardized sum for sigma^2 the model's variance.  p_n's meta
+    holds the chain diagnostics; for n = 1 and sigma = 1 p_n is the
+    untrimmed base itself.
 
     One pass squares the trimmed base up to the top bit of max(ns).  Each
     new power 2^j is multiplied into every pending n with bit j set, in
     ascending bit order, which fixes every p_n to the bit whatever the
-    other ns are; n is yielded as soon as its top bit is in.  A squaring
-    drops its input after the forward transform, so no power outlives the
-    pending products and the consumers of yielded products that use it.
+    other ns are; n's product is resampled and yielded as soon as its top
+    bit is in, so the consumer measures p_n before the pass squares on.  A
+    squaring drops its input after the forward transform, so no power
+    outlives the pending products that use it.
 
     Every squaring and every product is cut to |x| <= _WINDOW_SD sd
     sqrt(m), m the summands it holds and sd the root second moment of the
@@ -493,8 +486,10 @@ def sum_densities(model: AnalyticModel, ns: Iterable[int],
             f"p_n for n = {n_max} needs a convolution array of {longest} points "
             f"(cap {CHAIN_MAX_POINTS}); use a smaller n or a coarser grid")
     if ns[0] == 1:
-        yield SumProduct(1, base, cfg, dict(model=model.name, n=1, chain_max_len=base.n,
-                                            conv_count=0, conv_mass_drifts=()))
+        p = base if sigma == 1.0 else _resample_sum(base, 1, cfg, sigma)
+        p.meta.update(model=model.name, n=1, chain_max_len=base.n, conv_count=0,
+                      conv_mass_drifts=())
+        yield p
         ns = ns[1:]
     del base
     acc = {}                          # n -> product of its powers so far
@@ -518,9 +513,10 @@ def sum_densities(model: AnalyticModel, ns: Iterable[int],
                 acc[n] = power
             if n >> j == 1:  # j is n's top bit
                 d = squared[:j] + drifts.pop(n)
-                meta = dict(model=model.name, n=n, chain_max_len=acc[n].n,
-                            conv_count=len(d), conv_mass_drifts=tuple(d))
-                yield SumProduct(n, acc.pop(n), cfg, meta)
+                p = _resample_sum(acc[n], n, cfg, sigma)
+                p.meta.update(model=model.name, n=n, chain_max_len=acc.pop(n).n,
+                              conv_count=len(d), conv_mass_drifts=tuple(d))
+                yield p
 
 
 def _spline_at(src: GridDensity, points: np.ndarray) -> np.ndarray:
@@ -563,8 +559,8 @@ def normalized_sum_density(model: AnalyticModel, n: int,
                            grid_cfg: GridConfig | None = None) -> GridDensity:
     """Density p_n of Z_n = (X_1 + ... + X_n)/sqrt(n) on the target grid:
     the one-n case of `sum_densities`."""
-    [item] = sum_densities(model, (n,), grid_cfg)
-    return item.density()
+    [p] = sum_densities(model, (n,), grid_cfg)
+    return p
 
 
 def entropy(p: GridDensity) -> float:

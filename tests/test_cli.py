@@ -2,12 +2,15 @@ import json
 import math
 import subprocess
 import sys
+import threading
 import warnings
 
 import pytest
 
 from renyi_lab.cli import ExperimentConfig, main, run_experiment
-from renyi_lab.models import ModelSpec
+from renyi_lab.divergences import renyi_tsallis
+from renyi_lab.grids import gaussian_grid, normalized_sum_density
+from renyi_lab.models import ModelSpec, make_model
 
 SKEWED = '{"kind": "bernoulli_gauss", "params": {"p": 0.2, "beta": 1.127}}'
 
@@ -58,13 +61,11 @@ def test_dist_json(capsys):
     assert rows[0]["alpha"] == 2.0 and rows[0]["T_alpha"] > 0.0
 
 
-def test_rate_csv_and_determinism(tmp_path, capsys, monkeypatch):
+def test_rate_csv_and_determinism(tmp_path, capsys):
     argv = ["rate", "--model", "uniform", "--distance", "chi2",
             "--n", "8,16,32"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setenv("RENYI_LAB_THREADS", "1")
     assert main(argv + ["--out", str(a)]) == 0
-    monkeypatch.setenv("RENYI_LAB_THREADS", "4")
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     lines = a.read_text().strip().splitlines()
@@ -101,19 +102,36 @@ def test_rate_renyi_constant_scales_with_alpha(capsys):
     assert renyi_inf == tinf and ",nan,nan" in tinf
 
 
-def test_rate_renyi_csv_same_for_any_thread_count(tmp_path, capsys, monkeypatch):
-    # each pool job builds its own (p, q) pair; the supports kept on them
-    # for the order scan must not leak between jobs
-    argv = ["rate", "--model", "uniform", "--distance", "renyi", "--alpha-value", "3",
-            "--n", "4,8,16,32"]
-    outs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("RENYI_LAB_THREADS", threads)
-        path = tmp_path / f"t{threads}.csv"
-        assert main(argv + ["--out", str(path)]) == 0
-        outs.append(path.read_bytes())
-    assert outs[0] == outs[1]
-    capsys.readouterr()
+def test_rate_renyi_matches_renyi_tsallis_per_n():
+    # each n builds its own (p, q) pair; the supports kept on them for
+    # the order scan must not leak between the ns of one pass
+    ns = (4, 8, 16, 32)
+    rows = run_experiment(ExperimentConfig(ModelSpec("uniform", {}), "renyi", ns, alpha=3.0))
+    uniform = make_model(ModelSpec("uniform", {}))
+    for n, row in zip(ns, rows):
+        p = normalized_sum_density(uniform, n)
+        _, t = renyi_tsallis(p, gaussian_grid(p), 3.0)
+        assert row[:3] == (n, t.value, t.tail_bound)
+
+
+def test_rate_runs_on_the_calling_thread(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("rate started a thread")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code, out, err = run(capsys, "rate", "--model", "uniform", "--n", "2,4")
+    assert code == 0 and err == "" and len(out.splitlines()) == 3
+
+
+def test_rate_leaves_concurrent_futures_unloaded():
+    code = """
+import contextlib, io, sys
+import renyi_lab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert renyi_lab.cli.main(["rate", "--model", "uniform", "--n", "2,4"]) == 0
+sys.exit("concurrent.futures" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -193,13 +211,24 @@ def test_rate_refuses_a_model_without_variance(capsys, monkeypatch):
     assert "no positive variance" in err
 
 
-@pytest.mark.parametrize("grid", ["nanx16384", "infx16384"])
-def test_non_finite_grid_exits_1(capsys, grid):
+@pytest.mark.parametrize("grid", ["nanx16384", "infx16384", "0x16384", "12x100", "12x8"])
+def test_invalid_grid_exits_3(capsys, monkeypatch, grid):
+    # refused by the parser, before any model is built
+    import renyi_lab.models as models
+    message = ("points must be a power of two, at least 16" if grid.startswith("12x")
+               else "half_width must be positive and finite")
+
+    def unbuilt(spec):
+        raise AssertionError("the model was built")
+    monkeypatch.setattr(models, "make_model", unbuilt)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(capsys, "dist", "--model", "uniform", f"--grid={grid}")
-    assert code == 1 and out == ""
-    assert err == "renyi-lab: error: half_width must be positive and finite\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", "--model", "uniform", f"--grid={grid}"])
+    assert exc.value.code == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"renyi-lab dist: error: argument --grid: {message}\n"
 
 
 def test_rate_bad_n_exits_3(capsys):
@@ -294,10 +323,13 @@ def test_run_experiment_returns_the_rows_rate_prints(capsys):
 
 
 def test_rate_refuses_a_grid_that_is_not_a_power_of_two(capsys):
-    code, out, err = run(capsys, "rate", "--model", "uniform", "--n", "2,4",
-                         "--grid", "12x1000")
-    assert code == 1 and out == ""
-    assert err == "renyi-lab: error: points must be a power of two, at least 16\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["rate", "--model", "uniform", "--n", "2,4", "--grid", "12x1000"])
+    assert exc.value.code == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("renyi-lab rate: error: argument --grid: "
+                       "points must be a power of two, at least 16\n")
 
 
 def test_check_subgauss_exit_codes(capsys):
@@ -339,23 +371,6 @@ def test_zoo_refuses_an_unknown_action(capsys):
     assert run(capsys, "zoo", "describe", "--model", "uniform") == (0, described, "")
 
 
-@pytest.mark.parametrize("threads", ["abc", "-3", "2.5", ""])
-def test_rate_refuses_a_bad_thread_count(capsys, monkeypatch, threads):
-    monkeypatch.setenv("RENYI_LAB_THREADS", threads)
-    code, out, err = run(capsys, "rate", "--model", "uniform", "--n", "2,4")
-    assert code == 1 and out == ""
-    assert err == ("renyi-lab: error: RENYI_LAB_THREADS must be a non-negative "
-                   f"integer, not {threads!r}\n")
-
-
-def test_rate_thread_count_zero_is_the_default(capsys, monkeypatch):
-    argv = ("rate", "--model", "uniform", "--n", "2,4")
-    monkeypatch.delenv("RENYI_LAB_THREADS", raising=False)
-    unset = run(capsys, *argv)
-    monkeypatch.setenv("RENYI_LAB_THREADS", "0")
-    assert run(capsys, *argv) == unset and unset[0] == 0
-
-
 def test_model_from_file(tmp_path, capsys):
     f = tmp_path / "model.json"
     f.write_text(SKEWED)
@@ -376,6 +391,19 @@ def test_parse_errors(capsys):
         main(["dist", "--model", "uniform", "--grid", "wide"])
     assert exc.value.code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("out", ["/", "/nonexistent/x.csv"], ids=["directory", "missing-dir"])
+def test_unwritable_out_is_one_error_line(capsys, out):
+    code, stdout, err = run(capsys, "dist", "--model", "uniform", "--out", out)
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"renyi-lab: error: cannot write {out!r}: ") and err.count("\n") == 1
+
+
+def test_unreadable_model_file_is_a_parse_error(capsys, tmp_path):
+    code, out, err = run(capsys, "dist", "--model", f"@{tmp_path}")
+    assert code == 3 and out == ""
+    assert err.startswith("renyi-lab: parse error: ") and err.count("\n") == 1
 
 
 def test_unknown_model_exits_1(capsys):

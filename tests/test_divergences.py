@@ -409,6 +409,28 @@ def test_non_finite_orders_raise(normal_grid, alpha):
         assert ("infinite_order" in str(info.value)) == (alpha == math.inf)
 
 
+_PAIRINGS = {"renyi_tsallis": lambda p, q: renyi_tsallis(p, q, 2.0), "kl": kl,
+             "tv_hellinger": tv_hellinger,
+             "pearson_vajda_result": lambda p, q: pearson_vajda_result(p, q, 2.0),
+             "infinite_order": infinite_order, "relative_fisher": relative_fisher}
+
+
+@pytest.mark.parametrize("name", sorted(_PAIRINGS))
+@pytest.mark.parametrize("differ", ["origin", "step", "length"])
+def test_mismatched_grids_raise(name, differ):
+    # the integrals pair the two densities cell by cell: a q on another
+    # grid is refused, one off by less than 1e-12 of the step is not
+    fn, p = _PAIRINGS[name], pn_of("uniform", 8)
+    q = gaussian_grid(p)
+    other = {"origin": GridDensity(q.origin + 1.0, q.step, q.values),
+             "step": GridDensity(q.origin, q.step * (1.0 + 1e-9), q.values),
+             "length": GridDensity(q.origin, q.step, q.values[:-1])}[differ]
+    with pytest.raises(ValueError, match=f"grids differ in {differ}"):
+        fn(p, other)
+    near = GridDensity(q.origin + 0.5e-12 * q.step, q.step * (1.0 + 0.5e-12), q.values)
+    assert fn(p, near) == fn(p, q)
+
+
 def test_truncated_tsallis_ignores_q_null_outside_window():
     # on a +-45 window the normal underflows to 0 beyond |x| ~ 38.6, where
     # this wider normal is still positive; the |x| <= M window excludes it

@@ -244,8 +244,7 @@ def test_fftconvolve_matches_scipy_on_chain_products(monkeypatch):
     calls = _spy_fftconvolve(monkeypatch)
     # uniform trims to its support (2366 points); n = 13 multiplies the
     # unequal powers 1, 4 and 8 after three squarings
-    [item] = sum_densities(model_of("uniform"), (13,))
-    item.density()
+    normalized_sum_density(model_of("uniform"), 13)
     assert len(calls) == 3 + 2
     assert all(m & (m - 1) for m in calls)  # no power-of-two transform
 
@@ -335,7 +334,7 @@ def test_spline_refuses_bad_nodes(x, y):
 
 def test_shared_chain_matches_single_n(skewed_model):
     ns = (6, 12, 20)
-    stream = {item.n: item.density() for item in sum_densities(skewed_model, ns)}
+    stream = {p.meta["n"]: p for p in sum_densities(skewed_model, ns)}
     rows = run_experiment(ExperimentConfig(ModelSpec(**SKEWED), "kl", ns))
     for n, row in zip(ns, rows):
         p = normalized_sum_density(skewed_model, n)
@@ -347,10 +346,9 @@ def test_shared_chain_matches_single_n(skewed_model):
 def test_stream_of_mixed_ns_matches_single_n(spec):
     model = model_of(spec)
     ns = (1, 3, 5, 8, 13, 33)
-    items = list(sum_densities(model, ns))
-    assert [item.n for item in items] == list(ns)
-    for item in items:
-        n, p = item.n, item.density()
+    stream = list(sum_densities(model, ns))
+    assert [p.meta["n"] for p in stream] == list(ns)
+    for n, p in zip(ns, stream):
         single = normalized_sum_density(model, n)
         assert np.array_equal(p.values, single.values), n
         assert p.meta == single.meta
@@ -358,27 +356,43 @@ def test_stream_of_mixed_ns_matches_single_n(spec):
 
 
 def test_stream_releases_powers(monkeypatch):
-    powers = []  # weakrefs to the values of the powers consumed so far
-    live = []    # how many of them are alive at each inverse transform
-    real_irfft = np.fft.irfft
+    powers = []  # weakrefs to the values of the powers squared so far
+    live = []    # how many of the earlier ones are alive at each inverse transform
+    real_irfft, real_square = np.fft.irfft, grids._fftsquare
 
     def irfft(*args, **kwargs):
         live.append(sum(r() is not None for r in powers))
         return real_irfft(*args, **kwargs)
+
+    def square(held):
+        out = real_square(held)
+        powers.append(weakref.ref(out))
+        return out
     monkeypatch.setattr(np.fft, "irfft", irfft)
-    # every n is a power of two, so no pending product holds a power, and
-    # n = 1 yields the base, of which the trimmed power 0 is a view
-    for item in sum_densities(model_of("uniform"), (1, 2, 4, 8, 16, 32)):
-        item.density()  # the consumer is done before the pass resumes
-        powers.append(weakref.ref(item.product.values))
-        del item
+    monkeypatch.setattr(grids, "_fftsquare", square)
+    # every n is a power of two, so no pending product holds a power; the
+    # uniform chain is below its window until m ~ 533, so each power's
+    # values are the squaring's output itself
+    stream = sum_densities(model_of("uniform"), (1, 2, 4, 8, 16, 32))
+    assert len(list(stream)) == 6
     # each squaring has dropped its input before its inverse transform
     assert live == [0] * 5
-    assert all(r() is None for r in powers)
+    assert len(powers) == 5 and all(r() is None for r in powers)
+
+
+def test_stream_standardizes_by_sigma():
+    # S_n/(sigma sqrt(n)) is the resample of the same product base^n;
+    # n = 1 resamples the base itself
+    model = model_of({"kind": "power_density", "params": {"d": 1}})
+    ns = (1, 3, 8)
+    for n, p in zip(ns, sum_densities(model, ns, sigma=SQRT3)):
+        ref = grids._resample_sum(_reference_product(model, n), n, GridConfig(), SQRT3)
+        assert same_bits(p.values, ref.values), n
+        assert p.meta["n"] == n
 
 
 def test_chain_diagnostics(skewed_model):
-    stream = {item.n: item.density() for item in sum_densities(skewed_model, (1, 6, 12, 20))}
+    stream = {p.meta["n"]: p for p in sum_densities(skewed_model, (1, 6, 12, 20))}
     assert stream[1].meta["conv_count"] == 0
     for n in (6, 12, 20):
         meta = stream[n].meta
@@ -439,10 +453,10 @@ def test_chain_length_cap_is_the_longest_array(spec, ns, monkeypatch):
         return spy
     monkeypatch.setattr(grids, "_fftsquare", recorded(grids._fftsquare))
     monkeypatch.setattr(grids, "_fftconvolve", recorded(grids._fftconvolve))
-    products = [item.product.n for item in sum_densities(model, ns)]
+    products = [p.meta["chain_max_len"] for p in sum_densities(model, ns)]
     assert max(products) < max(lengths)
     monkeypatch.setattr(grids, "CHAIN_MAX_POINTS", max(lengths))
-    assert [item.product.n for item in sum_densities(model, ns)] == products
+    assert [p.meta["chain_max_len"] for p in sum_densities(model, ns)] == products
     monkeypatch.setattr(grids, "CHAIN_MAX_POINTS", max(lengths) - 1)
     with pytest.raises(ChainTooLongError, match=f"{max(lengths)} points"):
         next(sum_densities(model, ns))
@@ -464,10 +478,9 @@ def test_chain_window_drops_only_round_off(spec, monkeypatch):
     # may flip, hence 2e-13 of the peak
     model = model_of(spec)
     ns = (16, 64, 256)
-    windowed = [item.density() for item in sum_densities(model, ns)]
+    windowed = list(sum_densities(model, ns))
     monkeypatch.setattr(grids, "_WINDOW_SD", math.inf)
-    for n, p, item in zip(ns, windowed, sum_densities(model, ns)):
-        q = item.density()
+    for n, p, q in zip(ns, windowed, sum_densities(model, ns)):
         assert n == 16 or p.meta["chain_max_len"] < q.meta["chain_max_len"]  # it binds
         assert np.max(np.abs(p.values - q.values)) <= 2e-13 * np.max(q.values), n
         ref = kl(q, gaussian_grid(q))
