@@ -8,7 +8,10 @@ inconclusive, 3 argument or config parse error.
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
+import functools
+import gc
 import io
 import json
 import math
@@ -74,9 +77,12 @@ def _parse_model(text: str) -> ModelSpec:
 
 
 def _parse_grid(text: str) -> GridConfig:
-    from .grids import GridConfig
     w, _, n = text.partition("x")
-    half_width, points = float(w), int(n)
+    try:
+        half_width, points = float(w), int(n)
+    except ValueError:
+        raise argparse.ArgumentTypeError("grid must be WxN, e.g. 8x4096") from None
+    from .grids import GridConfig
     try:
         return GridConfig(half_width, points)
     except ValueError as exc:
@@ -329,7 +335,16 @@ def build_parser() -> _Parser:
     return ap
 
 
+@functools.cache
+def _freeze_heap_at_exit() -> None:
+    """Interpreter shutdown runs full collections over a heap that the
+    process frees anyway; frozen at exit, that heap is skipped.  Once
+    per process, and the collector is left alone until then."""
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _freeze_heap_at_exit()
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.command == "zoo" and args.model is None and args.action != "list":

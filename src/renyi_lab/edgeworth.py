@@ -7,12 +7,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .divergences import _power_ratio, _support, _window_radius
-from .grids import GridDensity, MomentSummary, gaussian_grid
 from .hermite import hermite_coefficients
+from .zoo import MomentSummary
+
+if TYPE_CHECKING:
+    from .grids import GridDensity
 
 
 @dataclass(frozen=True)
@@ -162,6 +165,8 @@ def truncated_tsallis(p_n: GridDensity, alpha: float, s: int, n: int) -> float:
     M = sqrt(2 (s-1) log n), the truncation window of the expansion;
     +inf when the integrand fails the gates of the full-window integrals.
     """
+    from .divergences import _power_ratio, _support, _window_radius
+    from .grids import gaussian_grid
     if s < 2 or n < 2:
         raise ValueError("need s >= 2 and n >= 2")
     m_cut = math.sqrt(2.0 * (s - 1) * math.log(n))

@@ -40,13 +40,14 @@ import math
 import struct
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import (AliasingError, ChainTooLongError, GridTooNarrowError,
                      TailDominanceError)
 from .reports import FAILS, HOLDS, CheckReport
+from .zoo import AnalyticModel, MomentSummary  # re-exported beside the grid records
 
 ALIAS_TOL = 1e-14
 _TRIM_FLOOR = 1e-280
@@ -129,44 +130,6 @@ class GridDensity:
     @property
     def mass(self) -> float:
         return float(self.step * self.values.sum())
-
-
-@dataclass(frozen=True)
-class MomentSummary:
-    """Raw moments of a distribution: alpha_k = E X^k."""
-    mean: float
-    variance: float
-    alpha3: float
-    alpha4: float
-    higher_moments: tuple = ()
-
-    def raw_moments(self) -> list:
-        m2 = self.variance + self.mean ** 2
-        return [1.0, self.mean, m2, self.alpha3, self.alpha4, *self.higher_moments]
-
-
-@dataclass(frozen=True)
-class AnalyticModel:
-    """Capability record for a 1-D distribution.
-
-    density/cdf/log_laplace are optional callbacks; cumulants is
-    the ordered sequence (gamma_1, gamma_2, ...) when known in closed
-    form.  Purely discrete members (Bernoulli variants) carry no density
-    and only participate through their log-Laplace transform.
-    """
-    name: str
-    density: Optional[Callable] = None
-    log_laplace: Optional[Callable] = None
-    cumulants: Optional[tuple] = None
-    support_radius: Optional[float] = None
-    cdf: Optional[Callable] = None
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @property
-    def variance(self) -> Optional[float]:
-        if self.cumulants is not None and len(self.cumulants) >= 2:
-            return float(self.cumulants[1])
-        return self.meta.get("variance")
 
 
 @lru_cache(maxsize=4)

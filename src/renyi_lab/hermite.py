@@ -17,7 +17,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import SeriesError, TailDominanceError
-from .grids import AnalyticModel, GridDensity, MomentSummary
+from .zoo import AnalyticModel, MomentSummary
 
 _MOMENT_GRID_HALF_WIDTH = 20.0
 _MOMENT_GRID_POINTS = 1 << 15
@@ -127,6 +127,9 @@ def normal_moments(p, K: int = 40) -> NormalMomentVector:
                 for k, hk in enumerate(_hermite_seq(K, x), start=1):
                     cs.append(_finite_moment(k, float(r * np.sum(wd * hk)) / total))
             return NormalMomentVector(tuple(cs))
+    # the compact-support quadrature above builds no grid
+    from .grids import GridDensity
+    if isinstance(p, AnalyticModel):
         step = 2.0 * _MOMENT_GRID_HALF_WIDTH / _MOMENT_GRID_POINTS
         xg = -_MOMENT_GRID_HALF_WIDTH + step * (np.arange(_MOMENT_GRID_POINTS) + 0.5)
         vals = np.maximum(np.asarray(p.density(xg), dtype=float), 0.0)

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstraintError
-from .grids import AnalyticModel
-from .zoo import MODEL_DOCS  # re-exported beside the constructors
+from .zoo import MODEL_DOCS, AnalyticModel  # MODEL_DOCS re-exported beside the constructors
 
 SQRT3 = math.sqrt(3.0)
 

@@ -19,15 +19,20 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from .errors import ConstraintError, TailDominanceError
-from .grids import (AnalyticModel, GridConfig, GridDensity, _spline, _tilt,
-                    discretize, laplace_eval)
 from .models import TrigPolynomial, minimize_bounded
 from .reports import FAILS, HOLDS, INCONCLUSIVE, CheckReport
+from .zoo import AnalyticModel
+
+if TYPE_CHECKING:
+    from .grids import GridDensity
+
+# The grid layer is imported where a grid is built (the numeric profile
+# and `esscher`): the checkers on closed-form profiles never load it.
 
 ZERO_TOL = 1e-8          # A(t) <= ZERO_TOL*(1+t^2) marks the approximate zero set
 DERIV_TOL = 1e-4         # |A''| allowed on the zero set
@@ -79,6 +84,7 @@ def _decayed_run(p: GridDensity, ts: np.ndarray):
     widens from it up to the first failure on each side; with 0 inside a
     decayed range that is one failure per end.
     """
+    from .grids import laplace_eval
     ks = {}
     lo, hi = 0, len(ts) - 1          # the run lies inside ts[lo:hi + 1]
     i = int(np.argmin(np.abs(ts)))
@@ -144,6 +150,7 @@ def profile(model: AnalyticModel, t_range=(-40.0, 40.0),
             period=model.meta.get("period"),
             trig=model.meta.get("trig"),
             cumulants=model.cumulants)
+    from .grids import GridConfig, _spline, discretize
     p = discretize(model, GridConfig().half_width, GridConfig().points)
     ts, ks = _decayed_run(p, np.linspace(lo, hi, samples))
     if len(ts) < 10:
@@ -376,6 +383,7 @@ def esscher(p: GridDensity, h: float) -> GridDensity:
     The renormalization hides any mass pushed off the window; the bias
     is estimated by the boundary cells and must stay below 1e-10.
     """
+    from .grids import GridDensity, _tilt
     w, _ = _tilt(p, h)
     total = p.step * w.sum()
     if total <= 0:

@@ -1,9 +1,54 @@
-"""The model zoo's catalogue: one line on each model kind and its params.
+"""The model zoo's records and catalogue: `AnalyticModel`, the capability
+record every model is, `MomentSummary`, and one line on each model kind.
 
-It imports nothing, so `renyi-lab zoo list` prints it without loading
-numpy or the models it describes; `models` re-exports it beside the
-constructors.
+It imports only the standard library: `zoo list` prints the catalogue
+without numpy, and a module that takes or returns these records need not
+import `grids`, which re-exports them (`models` re-exports the catalogue).
 """
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable, Optional
+
+
+@dataclass(frozen=True)
+class MomentSummary:
+    """Raw moments of a distribution: alpha_k = E X^k."""
+    mean: float
+    variance: float
+    alpha3: float
+    alpha4: float
+    higher_moments: tuple = ()
+
+    def raw_moments(self) -> list:
+        m2 = self.variance + self.mean ** 2
+        return [1.0, self.mean, m2, self.alpha3, self.alpha4, *self.higher_moments]
+
+
+@dataclass(frozen=True)
+class AnalyticModel:
+    """Capability record for a 1-D distribution.
+
+    density/cdf/log_laplace are optional callbacks; cumulants is
+    the ordered sequence (gamma_1, gamma_2, ...) when known in closed
+    form.  Purely discrete members (Bernoulli variants) carry no density
+    and only participate through their log-Laplace transform.
+    """
+    name: str
+    density: Optional[Callable] = None
+    log_laplace: Optional[Callable] = None
+    cumulants: Optional[tuple] = None
+    support_radius: Optional[float] = None
+    cdf: Optional[Callable] = None
+    meta: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @property
+    def variance(self) -> Optional[float]:
+        if self.cumulants is not None and len(self.cumulants) >= 2:
+            return float(self.cumulants[1])
+        return self.meta.get("variance")
+
 
 MODEL_DOCS = {
     "normal": "N(0, sigma2); params: sigma2 (default 1)",

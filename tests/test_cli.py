@@ -231,6 +231,17 @@ def test_invalid_grid_exits_3(capsys, monkeypatch, grid):
     assert out.err == f"renyi-lab dist: error: argument --grid: {message}\n"
 
 
+@pytest.mark.parametrize("grid", ["wide", "12x", "x16384"])
+def test_grid_that_is_not_wxn_exits_3(capsys, grid):
+    # the message says what a grid is, not which function failed to parse it
+    with pytest.raises(SystemExit) as exc:
+        main(["dist", "--model", "uniform", f"--grid={grid}"])
+    assert exc.value.code == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "renyi-lab dist: error: argument --grid: grid must be WxN, e.g. 8x4096\n"
+
+
 def test_rate_bad_n_exits_3(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rate", "--model", "uniform", "--n", "8,x"])
@@ -451,14 +462,103 @@ def test_zoo_list_loads_no_numpy():
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (["zoo", "--model", "sin_power"], {"divergences", "hermite", "edgeworth", "subgauss"}),
-    (["check-subgauss", "--model", "sin_power"], {"divergences", "hermite", "edgeworth"}),
-    (["check-clt-dinf", "--model", "sin_power"], {"divergences", "hermite", "edgeworth"}),
+    (["zoo", "--model", "sin_power"], {"grids", "divergences", "hermite", "edgeworth", "subgauss"}),
+    (["check-subgauss", "--model", "sin_power"], {"grids", "divergences", "hermite", "edgeworth"}),
+    (["check-clt-dinf", "--model", "sin_power"], {"grids", "divergences", "hermite", "edgeworth"}),
     (["rate", "--model", "uniform", "--n", "2,4"], {"subgauss"}),
+    # compact support: Gauss-Legendre on [-sqrt3, sqrt3], no grid
+    (["hermite", "--model", "uniform"], {"grids", "divergences", "edgeworth", "subgauss"}),
 ])
 def test_commands_load_only_what_they_run(argv, absent):
     _, modules = _loaded_by(argv)
     assert "models" in modules and not modules & absent, modules
+
+
+def test_edgeworth_from_cumulants_loads_no_grid():
+    assert _loaded_by(["edgeworth", "--gammas", "0,1,0.6,0.4", "--m", "4"]) == (
+        True, {"cli", "edgeworth", "errors", "hermite", "reports", "zoo"})
+
+
+@pytest.mark.parametrize("argv", [["dist", "--model", "uniform", "--n", "2"],
+                                  ["rate", "--model", "uniform", "--n", "2,4"],
+                                  ["hermite", "--model", "normal", "--k", "8"]])
+def test_commands_that_build_a_grid_load_grids(argv):
+    assert "grids" in _loaded_by(argv)[1]
+
+
+def test_numeric_profile_loads_the_grid_layer_when_it_runs():
+    # the deferred imports of profile's numeric path, in a process where
+    # only the checkers and the models are loaded
+    code = f"""
+import dataclasses, json, sys
+from renyi_lab.models import ModelSpec, make_model
+from renyi_lab.subgauss import profile
+before = "renyi_lab.grids" in sys.modules
+spec = json.loads({SKEWED!r})
+prof = profile(dataclasses.replace(make_model(ModelSpec(spec["kind"], spec["params"])),
+                                   log_laplace=None))
+print(json.dumps([before, "renyi_lab.grids" in sys.modules, prof.closed_form,
+                  prof.t_max, len(prof.K.y)]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, True, False, 40.0, 1225]
+
+
+def test_main_leaves_the_collector_alone_and_hooks_exit_once(capsys, monkeypatch):
+    # the exit hook freezes the heap only at interpreter shutdown
+    import atexit
+    import gc
+    import renyi_lab.cli as cli
+    hooks = []
+    monkeypatch.setattr(atexit, "register", hooks.append)
+    cli._freeze_heap_at_exit.cache_clear()
+    enabled = gc.isenabled()
+    for _ in range(2):
+        assert run(capsys, "edgeworth", "--gammas", "0,1,0.6,0.4")[0] == 0
+        assert gc.isenabled() == enabled and gc.get_freeze_count() == 0
+    assert hooks == [gc.freeze]
+
+
+def test_the_heap_is_frozen_at_exit():
+    # a hook registered before main runs after main's (atexit is LIFO)
+    code = """
+import atexit, contextlib, gc, io, sys
+atexit.register(lambda: print(gc.get_freeze_count()))
+from renyi_lab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["zoo", "list"])
+    main(["zoo", "list"])
+print(gc.get_freeze_count())
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    during, at_exit = map(int, proc.stdout.split())
+    assert during == 0 and at_exit > 0
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["zoo", "list"], 0),
+    (["check-clt-dinf", "--model", "counterexample_30_4"], 1),
+    (["check-subgauss", "--model", "normal", "--t0", "1.0"], 2),
+    (["dist", "--model", "uniform", "--grid", "wide"], 3),
+    (["zoo", "--model", '{"kind": "bernoulli_asym"'], 3),
+])
+def test_exit_codes_survive_the_exit_hook(argv, want):
+    entry = "import sys; from renyi_lab.cli import main; sys.exit(main())"
+    proc = subprocess.run([sys.executable, "-c", entry, *argv], capture_output=True, text=True)
+    assert proc.returncode == want, proc.stderr
+
+
+def test_rate_out_file_is_complete_at_exit(tmp_path, capsys):
+    out = tmp_path / "rate.csv"
+    argv = ["rate", "--model", "uniform", "--n", "16,32,64"]
+    entry = "import sys; from renyi_lab.cli import main; sys.exit(main())"
+    proc = subprocess.run([sys.executable, "-c", entry, *argv, "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "", proc.stderr
+    code, text, _ = run(capsys, *argv)
+    assert code == 0 and out.read_bytes() == text.encode()
 
 
 def test_short_commands_skip_scipy():

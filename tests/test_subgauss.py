@@ -156,9 +156,11 @@ def test_numeric_profile_matches_full_scan(spec, t_range):
 
 
 def test_numeric_profile_evaluates_the_decayed_run_only(monkeypatch):
-    import renyi_lab.subgauss as sg
+    # the numeric path imports the grid layer when it runs, so it reads
+    # grids.laplace_eval at the call
+    import renyi_lab.grids as grids
     calls = []
-    monkeypatch.setattr(sg, "laplace_eval", lambda p, t: calls.append(t) or laplace_eval(p, t))
+    monkeypatch.setattr(grids, "laplace_eval", lambda p, t: calls.append(t) or laplace_eval(p, t))
     prof = profile(dataclasses.replace(model_of(SKEWED), log_laplace=None))
     # the run reaches the range's right end, so only its left end fails
     assert prof.t_max == 40.0 and len(prof.K.y) == len(calls) - 1 == 1225
