@@ -18,13 +18,17 @@ forward transform, so a power lives only while a pending product needs
 it.  Each squaring and each product is cut to
 |x| <= 40 sd sqrt(m), m the summands it holds and sd the base's standard
 deviation: beyond that a Gaussian-type tail is below the smallest double,
-so the cells hold only the transforms' round-off, and the arrays grow
-like sqrt(n) instead of n.  A cut that would drop a value above ALIAS_TOL
-of the array's peak raises AliasingError.  p_n (like `gaussian_smooth`'s
-lattice) is resampled onto the requested grid by a cubic spline fitted on
-the nodes around the target window.  A pass whose longest convolution
-output, a squaring's before its cut included, would exceed
-CHAIN_MAX_POINTS is refused before any transform runs.
+so the cells hold only the transforms' round-off.  A cut that would drop
+a value above ALIAS_TOL of the array's peak raises AliasingError.  While
+the sd of a squaring's sum spans more than 2 _NODES_PER_SD nodes, the
+chain keeps every other node at twice the step, if every live array is
+smooth enough to follow, so the arrays stay bounded at any n.  p_n (like
+`gaussian_smooth`'s lattice) is resampled onto the requested grid by a
+cubic spline fitted on the nodes around the target window.  A pass whose
+longest convolution output, a squaring's before its cut included, would
+exceed CHAIN_MAX_POINTS with every halving taken is refused before any
+transform runs; since a halving may decline, each transform checks its
+own length as well.
 
 The transforms are numpy.fft's, which reproduce scipy.fft bit for bit.
 The spline is `_spline(x0, h, y)`, scipy's not-a-knot CubicSpline on the
@@ -59,6 +63,15 @@ CHAIN_MAX_POINTS = 1 << 25
 # it holds: a Gaussian-type tail at 40 sd is e^-800, below the smallest
 # double, so the cut drops only the transforms' round-off
 _WINDOW_SD = 40.0
+# the chain keeps every other node, at twice the step, while the sd of
+# the sum a squaring holds spans more than 2 _NODES_PER_SD nodes: the
+# default step would give the sum of m = 1024 some 22,000 nodes per sd.
+# Against the unhalved chain, 4096 moves the skewed `rate` relative gap
+# by 4e-7 of itself and 1024 by 1.1e-6.  Each dropped interior node must
+# lie within _HALVING_TOL of the array's peak of the 4-point cubic
+# through its kept neighbours, else the pass keeps its step
+_NODES_PER_SD = 4096
+_HALVING_TOL = 1e-12
 # chain nodes kept on each side of the resample window: the spline's
 # end conditions reach a node i places inside only through r^i (see
 # _SPLINE_TAPS), so 64 nodes bound the end effect by r^64 ~ 1e-37
@@ -376,10 +389,50 @@ def _windowed(p: GridDensity, half: float, model: str, m: int) -> GridDensity:
     return GridDensity(p.origin + drop * p.step, p.step, v[drop:p.n - drop].copy(), meta=p.meta)
 
 
-def _chain_longest(power: GridDensity, ns: list, half: Callable) -> int:
+def _halving_start(n: int) -> int:
+    """First node a halving of an n-node array keeps: the centre node's
+    parity for odd n, so a symmetric array stays symmetric."""
+    return (n - 1) // 2 % 2 if n % 2 else 0
+
+
+def _follows_halving(p: GridDensity) -> bool:
+    """Whether the 4-point cubic (9 (k1 + k2) - (k0 + k3)) / 16 of the
+    nodes a halving of p keeps predicts every dropped interior node to
+    _HALVING_TOL of p's peak."""
+    start = _halving_start(p.n)
+    kept, dropped = p.values[start::2], p.values[start + 1::2]
+    guess = (9.0 * (kept[1:-2] + kept[2:-1]) - (kept[:-3] + kept[3:])) / 16.0
+    miss = np.abs(guess - dropped[1:len(kept) - 2])
+    return len(miss) > 0 and miss.max() <= _HALVING_TOL * p.values.max()
+
+
+def _halved(p: GridDensity) -> GridDensity:
+    """p on every other node at twice the step, the centre node's parity
+    kept; the values are copied, not renormalized."""
+    start = _halving_start(p.n)
+    return GridDensity(p.origin + (start - 0.5) * p.step, 2.0 * p.step,
+                       p.values[start::2].copy(), meta=p.meta)
+
+
+def _halves(sd: float, m: int, step: float) -> bool:
+    """Whether the sd of a sum of m summands spans more than
+    2 _NODES_PER_SD nodes of the given step."""
+    return sd * math.sqrt(m) / step > 2 * _NODES_PER_SD
+
+
+def _check_chain_length(size: int, n_max: int) -> None:
+    """Refuse a convolution output of `size` points over CHAIN_MAX_POINTS
+    in a pass up to n_max."""
+    if size > CHAIN_MAX_POINTS:
+        raise ChainTooLongError(
+            f"p_n for n = {n_max} needs a convolution array of {size} points "
+            f"(cap {CHAIN_MAX_POINTS}); use a smaller n or a coarser grid")
+
+
+def _chain_longest(power: GridDensity, ns: list, half: Callable, sd: float) -> int:
     """Longest convolution output, before its cut, of the `sum_densities`
-    pass over ns from the power-0 grid `power`: the pass's geometry
-    without its arithmetic."""
+    pass over ns from the power-0 grid `power` when every halving is
+    taken: the pass's geometry without its arithmetic."""
     step, longest = power.step, 0
 
     def cut(origin, n, m):
@@ -388,10 +441,17 @@ def _chain_longest(power: GridDensity, ns: list, half: Callable) -> int:
         drop = _window_drop(origin, step, n, half(m))
         return origin + drop * step, n - 2 * drop
 
+    def halve(origin, n):
+        start = _halving_start(n)
+        return origin + (start - 0.5) * step, (n - start + 1) // 2
+
     pw, acc = (power.origin, power.n), {}
     for j in range(ns[-1].bit_length()):
         if j:
             pw = cut(_sum_origin(pw[0], pw[0], step), 2 * pw[1] - 1, 1 << j)
+            while _halves(sd, 1 << j, step):
+                pw, acc = halve(*pw), {n: halve(*a) for n, a in acc.items()}
+                step *= 2.0
         for n in ns:
             if n >> j & 1:
                 acc[n] = (cut(_sum_origin(acc[n][0], pw[0], step), acc[n][1] + pw[1] - 1,
@@ -425,9 +485,20 @@ def sum_densities(model: AnalyticModel, ns: Iterable[int], grid_cfg: GridConfig 
     the model and m, so a mean that carries S_m out of the window is
     refused, not cut.
 
+    After each squaring's cut, while sd sqrt(m) / step > 2 _NODES_PER_SD
+    (from m = 256 on the default grid), the power and every pending
+    product keep every other node, the centre node's parity, at twice the
+    step; the values are not renormalized, and the pass keeps one step for
+    all its arrays.  A halving is taken only if each of them follows it:
+    the 4-point cubic of its kept nodes predicts every dropped interior
+    node to _HALVING_TOL of its peak.  Otherwise the pass keeps its step
+    until the next squaring.  p_n's meta["chain_step"] is the step of the
+    array it was resampled from.
+
     Raises ChainTooLongError before any transform when the longest
-    convolution output of the pass, a squaring's before its cut included,
-    would exceed CHAIN_MAX_POINTS.
+    convolution output of the pass with every halving taken, a squaring's
+    before its cut included, would exceed CHAIN_MAX_POINTS, and before a
+    transform whose own output would, which a declined halving can cause.
     """
     ns = [int(n) for n in ns]
     if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
@@ -443,15 +514,11 @@ def sum_densities(model: AnalyticModel, ns: Iterable[int], grid_cfg: GridConfig 
         return _WINDOW_SD * sd * math.sqrt(m)
     power = _trimmed(base)
     n_max = ns[-1]
-    longest = _chain_longest(power, ns, half)
-    if longest > CHAIN_MAX_POINTS:
-        raise ChainTooLongError(
-            f"p_n for n = {n_max} needs a convolution array of {longest} points "
-            f"(cap {CHAIN_MAX_POINTS}); use a smaller n or a coarser grid")
+    _check_chain_length(_chain_longest(power, ns, half, sd), n_max)
     if ns[0] == 1:
         p = base if sigma == 1.0 else _resample_sum(base, 1, cfg, sigma)
-        p.meta.update(model=model.name, n=1, chain_max_len=base.n, conv_count=0,
-                      conv_mass_drifts=())
+        p.meta.update(model=model.name, n=1, chain_max_len=base.n, chain_step=base.step,
+                      conv_count=0, conv_mass_drifts=())
         yield p
         ns = ns[1:]
     del base
@@ -460,15 +527,25 @@ def sum_densities(model: AnalyticModel, ns: Iterable[int], grid_cfg: GridConfig 
     squared = []                      # mass drift of power j at index j - 1
     for j in range(n_max.bit_length()):
         if j:
+            _check_chain_length(2 * power.n - 1, n_max)
             held, origin, step = [power.values], power.origin, power.step
             power = None  # held now has the pass's only reference
             power = _sum_density(_fftsquare(held), _sum_origin(origin, origin, step), step)
             squared.append(power.meta["mass_drift"])
             power = _windowed(power, half(1 << j), model.name, 1 << j)
+            while _halves(sd, 1 << j, power.step):
+                # every check frees its temporaries before the first copy
+                live = {id(a): a for a in (power, *acc.values())}
+                if not all(map(_follows_halving, live.values())):
+                    break  # the pass keeps its step
+                halved = {k: _halved(a) for k, a in live.items()}
+                power = halved[id(power)]
+                acc = {n: halved[id(a)] for n, a in acc.items()}
         for n in ns:
             if not n >> j & 1:
                 continue
             if n in acc:
+                _check_chain_length(acc[n].n + power.n - 1, n_max)
                 m = n & ((2 << j) - 1)  # the summands acc[n] now holds
                 acc[n] = _windowed(convolve(acc[n], power), half(m), model.name, m)
                 drifts[n].append(acc[n].meta["mass_drift"])
@@ -477,8 +554,9 @@ def sum_densities(model: AnalyticModel, ns: Iterable[int], grid_cfg: GridConfig 
             if n >> j == 1:  # j is n's top bit
                 d = squared[:j] + drifts.pop(n)
                 p = _resample_sum(acc[n], n, cfg, sigma)
-                p.meta.update(model=model.name, n=n, chain_max_len=acc.pop(n).n,
-                              conv_count=len(d), conv_mass_drifts=tuple(d))
+                p.meta.update(model=model.name, n=n, chain_max_len=acc[n].n,
+                              chain_step=acc.pop(n).step, conv_count=len(d),
+                              conv_mass_drifts=tuple(d))
                 yield p
 
 

@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from renyi_lab import grids
 from renyi_lab.cli import ExperimentConfig, main, run_experiment
 from renyi_lab.divergences import renyi_tsallis
 from renyi_lab.grids import gaussian_grid, normalized_sum_density
@@ -151,7 +152,10 @@ def test_experiment_config_refuses_nan_alpha():
                          n_values=(2, 4), alpha=math.nan)
 
 
-def test_rate_refuses_oversized_chain(capsys):
+def test_rate_refuses_oversized_chain(capsys, monkeypatch):
+    # halved chain arrays stay near 80 * 8192 nodes at any n on the
+    # default grid, so only a smaller cap refuses the pass
+    monkeypatch.setattr(grids, "CHAIN_MAX_POINTS", 1 << 19)
     code, out, err = run(capsys, "rate", "--model", SKEWED, "--distance", "kl",
                          "--n", "16,262144")
     assert code == 1

@@ -394,6 +394,7 @@ def test_stream_standardizes_by_sigma():
 def test_chain_diagnostics(skewed_model):
     stream = {p.meta["n"]: p for p in sum_densities(skewed_model, (1, 6, 12, 20))}
     assert stream[1].meta["conv_count"] == 0
+    assert stream[1].meta["chain_step"] == 24.0 / 16384
     for n in (6, 12, 20):
         meta = stream[n].meta
         assert meta == normalized_sum_density(skewed_model, n).meta
@@ -406,6 +407,7 @@ def test_chain_diagnostics(skewed_model):
         # so 40 sqrt(n) a side) is the narrower: from n = 12 on
         assert meta["chain_max_len"] == _reference_product(skewed_model, n).n
         step = 24.0 / 16384
+        assert meta["chain_step"] == step  # no halving below m = 256
         if n == 6:
             assert meta["chain_max_len"] == n * 16383 + 1
         else:
@@ -423,16 +425,18 @@ def test_chain_length_cap(skewed_model, monkeypatch):
     def refuse(*args, **kwargs):
         raise _TransformStarted
     monkeypatch.setattr(np.fft, "rfft", refuse)
-    # windowed arrays grow like sqrt(n): n = 2^18's last squaring outputs
-    # ~39.5M points before its cut, refused before the first transform,
-    # also when smaller n come first
-    with pytest.raises(ChainTooLongError):
-        normalized_sum_density(skewed_model, 1 << 18)
-    with pytest.raises(ChainTooLongError):
-        next(sum_densities(skewed_model, (16, 1 << 18)))
-    # n = 2^17 needs ~28.0M <= 2^25 points: the pass starts
+    # halved arrays stay bounded, so n = 2^18 on the default grid starts
     with pytest.raises(_TransformStarted):
-        next(sum_densities(skewed_model, (1 << 17,)))
+        next(sum_densities(skewed_model, (1 << 18,)))
+    # on a 12x65536 grid the first squaring outputs 131071 points: over a
+    # 2^16 cap it is refused before the first transform, also when
+    # smaller n come first
+    monkeypatch.setattr(grids, "CHAIN_MAX_POINTS", 1 << 16)
+    fine = GridConfig(12.0, 1 << 16)
+    with pytest.raises(ChainTooLongError, match="131071 points"):
+        normalized_sum_density(skewed_model, 2, fine)
+    with pytest.raises(ChainTooLongError, match="n = 64 needs"):
+        next(sum_densities(skewed_model, (1, 3, 64), fine))
 
 
 @pytest.mark.parametrize("spec, ns", [(SKEWED, (3, 12, 20, 64)), ("uniform", (5, 600)),
@@ -485,6 +489,65 @@ def test_chain_window_drops_only_round_off(spec, monkeypatch):
         assert np.max(np.abs(p.values - q.values)) <= 2e-13 * np.max(q.values), n
         ref = kl(q, gaussian_grid(q))
         assert abs(kl(p, gaussian_grid(p)) - ref) <= 1e-10 * ref, n
+
+
+@pytest.mark.parametrize("spec", [
+    SKEWED, "uniform", {"kind": "power_density", "params": {"d": 1}},
+    {"kind": "gauss_scale_mixture", "params": {"atoms": [[0.5, 0.6], [0.5, 1.6]]}}],
+    ids=["skewed", "uniform", "power_density", "mixture"])
+def test_chain_halving_drops_only_round_off(spec, monkeypatch):
+    # the halved chain against the chain at the base step: a cell at the
+    # resample's 1e-13 floor may flip, hence 2e-13 of the peak
+    model = model_of(spec)
+    ns = (256, 1000, 1024)
+    halved = list(sum_densities(model, ns))
+    monkeypatch.setattr(grids, "_NODES_PER_SD", math.inf)
+    for n, p, q in zip(ns, halved, sum_densities(model, ns)):
+        assert p.meta["chain_step"] > q.meta["chain_step"], n  # it halves
+        assert p.meta["chain_max_len"] < q.meta["chain_max_len"], n
+        assert np.max(np.abs(p.values - q.values)) <= 2e-13 * np.max(q.values), n
+        ref = kl(q, gaussian_grid(q))
+        assert abs(kl(p, gaussian_grid(p)) - ref) <= max(1e-10 * ref, 1e-15), n
+
+
+def test_chain_arrays_are_bounded(skewed_model):
+    # the sd of each sum spans at most 2 * 4096 chain nodes, so the
+    # +-40 sd window holds at most 80 * 8192 of them at any n; the step
+    # doubles at m = 256 and 1024 (sd ~ 1, so 683 sqrt(m) nodes per sd)
+    step = 24.0 / 16384
+    stream = {p.meta["n"]: p for p in sum_densities(skewed_model, (1024, 1 << 14, 1 << 20))}
+    assert [p.meta["chain_step"] / step for p in stream.values()] == [4.0, 16.0, 128.0]
+    assert all(p.meta["chain_max_len"] <= 80 * 8192 + 1 for p in stream.values())
+    p = stream[1 << 20]
+    n_kl = (1 << 20) * kl(p, gaussian_grid(p))
+    gamma3 = moment_summary(discretize(skewed_model, 12.0, 1 << 14)).alpha3
+    assert abs(n_kl / (gamma3 ** 2 / 12.0) - 1.0) < 1e-4
+
+
+def test_chain_halving_declines(monkeypatch):
+    # on a 12x262144 grid the sd of S_2 spans ~15,400 nodes, but the kink
+    # of uniform's triangle is off the 4-point cubic by ~8e-7 of the
+    # peak: the pass keeps its step there and halves later, where the sum
+    # is smooth; skewed halves at once
+    fine = GridConfig(12.0, 1 << 18)
+    step = 24.0 / (1 << 18)
+    ns = (2, 16, 64)
+    uniform = list(sum_densities(model_of("uniform"), ns, fine))
+    assert [p.meta["chain_step"] / step for p in uniform] == [1.0, 8.0, 16.0]
+    skewed = list(sum_densities(model_of(SKEWED), ns, fine))
+    assert [p.meta["chain_step"] / step for p in skewed] == [2.0, 8.0, 16.0]
+    with monkeypatch.context() as m:
+        m.setattr(grids, "_NODES_PER_SD", math.inf)
+        for n, p, q in zip(ns, uniform, sum_densities(model_of("uniform"), ns, fine)):
+            assert np.max(np.abs(p.values - q.values)) <= 2e-13 * np.max(q.values), n
+    # a declined halving leaves the m = 4 squaring 4 points longer than
+    # the plan, so a cap between the two is met by that transform's own
+    # check, after p_2 is out
+    monkeypatch.setattr(grids, "CHAIN_MAX_POINTS", 151348)
+    stream = sum_densities(model_of("uniform"), (2, 16), fine)
+    assert next(stream).meta["n"] == 2
+    with pytest.raises(ChainTooLongError, match="convolution array of 151349 points"):
+        next(stream)
 
 
 def test_aliasing_guard():
