@@ -23,32 +23,22 @@ def _api() -> dict:
     """Import the numeric modules; returns the public names they export."""
     from .grids import (AnalyticModel, GridConfig, GridDensity, MomentSummary,
                         convolve, discretize, entropy, entropy_power,
-                        gaussian_grid, gaussian_smooth, grid_from_binary,
-                        grid_from_csv, grid_to_binary, grid_to_csv, laplace_eval,
+                        gaussian_grid, gaussian_smooth, laplace_eval,
                         moment_summary, normalized_sum_density,
                         pointwise_density_bound_check, sum_densities, wasserstein2)
-    from .divergences import (DivergenceResult, entropy_young,
-                              gaussian_relative_entropy, infinite_order, kl,
-                              orlicz_norm, pearson_vajda, relative_fisher,
-                              renyi_tsallis, tv_hellinger)
-    from .hermite import (NormalMomentVector, SeriesValue,
-                          chi2_from_normal_moments, exponential_series_eval,
-                          hermite_binomial_check, hermite_coefficients,
-                          hermite_eval, moments_from_normal_moments,
-                          normal_moments)
-    from .edgeworth import (CumulantVector, EdgeworthPolynomial,
-                            cumulants_from_moments, edgeworth_density,
-                            expansion_constants, fit_leading_constant,
-                            lyapunov_ratio, q_polynomial, truncated_tsallis,
-                            truncated_tsallis_leading_term)
+    from .divergences import (DivergenceResult, infinite_order, kl, pearson_vajda,
+                              relative_fisher, renyi_tsallis, tv_hellinger)
+    from .hermite import (NormalMomentVector, SeriesValue, chi2_from_normal_moments,
+                          hermite_coefficients, hermite_eval, normal_moments)
+    from .edgeworth import (CumulantVector, EdgeworthPolynomial, edgeworth_density,
+                            expansion_constants, fit_leading_constant, q_polynomial,
+                            truncated_tsallis)
     from .subgauss import (LogLaplaceProfile, dinf_clt_check, esscher,
-                           esscher_stats, esscher_variance_lower_bound,
                            periodic_clt_check, profile, quartic_classify,
                            separation_check, strict_subgauss_check)
     from .models import (MODEL_DOCS, ModelSpec, bernoulli_gauss_construct,
                          bernoulli_log_laplace, bernoulli_subgauss_constant,
-                         make_model, mixture_chi2, mixture_finiteness,
-                         sin_power_coefficients)
+                         make_model, mixture_chi2, sin_power_coefficients)
     return locals()
 
 

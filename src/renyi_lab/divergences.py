@@ -1,6 +1,5 @@
 """Distances between grid densities: Renyi/Tsallis, KL, TV, Hellinger,
-Pearson-Vajda, infinite-order variants, Orlicz norms, relative Fisher
-information, and the closed-form Gaussian relative entropy.
+Pearson-Vajda, infinite-order variants and relative Fisher information.
 
 Integrals with the exploding weight q^(1-alpha) (alpha > 1) are computed
 on the grid window with an explicit decay gate at the boundary; a
@@ -218,9 +217,10 @@ def pearson_vajda(p: GridDensity, q: GridDensity, alpha: float) -> float:
 def infinite_order(p: GridDensity, q: GridDensity, q_floor: float = 1e-300):
     """D_inf = log sup(p/q) and T_inf = sup((p-q)/q) over grid nodes.
 
-    The sup is grid-restricted; for compactly supported p against the
-    normal the sup is attained inside the support, and the tail beyond
-    the window is covered by the pointwise bound machinery upstream.
+    The sup is taken over the grid window only, and no bound is reported
+    for the tails beyond it.  For compactly supported p against the
+    normal the sup is attained inside the support; otherwise p/q may peak
+    outside the window, and the value is then only the window's sup.
     """
     _same_grid(p, q)
     m = q.values > q_floor
@@ -233,44 +233,6 @@ def infinite_order(p: GridDensity, q: GridDensity, q_floor: float = 1e-300):
     if sup == 0.0:
         return -math.inf, -1.0
     return math.log(sup), sup - 1.0
-
-
-def entropy_young(r):
-    """The Young function |r| log(1 + |r|) of the entropic Orlicz norm."""
-    a = np.abs(r)
-    return a * np.log1p(a)
-
-
-def orlicz_norm(u: np.ndarray, step: float, young) -> float:
-    """inf{lam > 0 : int young(u/lam) <= 1} by bisection, rel. tol 1e-8."""
-    u = np.asarray(u, dtype=float)
-    if not np.any(u != 0.0):
-        return 0.0
-
-    def g(lam):
-        return float(step * np.sum(young(u / lam)))
-
-    hi = 1.0
-    for _ in range(600):
-        if g(hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("Orlicz norm bracket not found (integral never <= 1)")
-    lo = hi
-    for _ in range(600):
-        if g(lo) > 1.0:
-            break
-        lo /= 2.0
-    else:
-        return 0.0
-    while hi - lo > 1e-8 * hi:
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 def relative_fisher(p: GridDensity, q: GridDensity) -> float:
@@ -298,10 +260,3 @@ def relative_fisher(p: GridDensity, q: GridDensity) -> float:
     if float(np.sum(w * (d4 - d2) ** 2)) > 0.05 * denom + 1e-12:
         raise OscillationError("derivative estimates disagree on the window")
     return float(h * np.sum(w * d4 * d4))
-
-
-def gaussian_relative_entropy(a: float, lam: float) -> float:
-    """D(N(a, lam) || N(0, 1)) = a^2/2 + (lam - log lam - 1)/2."""
-    if lam <= 0:
-        raise ValueError("variance must be positive")
-    return 0.5 * a * a + 0.5 * (lam - math.log(lam) - 1.0)

@@ -1,6 +1,6 @@
 """Cumulants, Edgeworth correction polynomials, corrected densities,
-Lyapunov ratios, truncated Tsallis integrals, and the closed-form
-leading constants of the chi-square and entropy expansion rate laws.
+truncated Tsallis integrals, and the closed-form leading constants of
+the chi-square and entropy expansion rate laws.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .hermite import hermite_coefficients
-from .zoo import MomentSummary
 
 if TYPE_CHECKING:
     from .grids import GridDensity
@@ -33,22 +32,6 @@ class CumulantVector:
 
     def __len__(self):
         return len(self.gammas)
-
-
-def cumulants_from_moments(m: MomentSummary, order: int) -> CumulantVector:
-    """Raw moments -> cumulants by the standard recursion
-    gamma_n = alpha_n - sum_{k=1}^{n-1} C(n-1, k-1) gamma_k alpha_{n-k}.
-    """
-    raw = m.raw_moments()
-    if order > len(raw) - 1:
-        raise ValueError(f"moments up to order {order} not available")
-    kappa = [0.0]  # dummy index 0
-    for n in range(1, order + 1):
-        g = raw[n]
-        for k in range(1, n):
-            g -= math.comb(n - 1, k - 1) * kappa[k] * raw[n - k]
-        kappa.append(g)
-    return CumulantVector(tuple(kappa[1:]))
 
 
 @dataclass(frozen=True)
@@ -148,18 +131,6 @@ def expansion_constants(gamma: CumulantVector) -> dict:
     }
 
 
-def lyapunov_ratio(moment_list, s: float) -> float:
-    """L_s = B_n^{-s/2} sum_k E|X_k|^s from (E|X_k|^s, Var X_k) pairs."""
-    if s <= 2:
-        raise ValueError("s must exceed 2")
-    abs_moments = [a for a, _ in moment_list]
-    variances = [v for _, v in moment_list]
-    if any(v <= 0 for v in variances):
-        raise ValueError("all variances must be positive")
-    b = sum(variances)
-    return float(sum(abs_moments) / b ** (s / 2.0))
-
-
 def truncated_tsallis(p_n: GridDensity, alpha: float, s: int, n: int) -> float:
     """I_alpha(M) = int_{|x| <= M} (p_n/phi)^alpha phi - 1 with
     M = sqrt(2 (s-1) log n), the truncation window of the expansion;
@@ -177,12 +148,6 @@ def truncated_tsallis(p_n: GridDensity, alpha: float, s: int, n: int) -> float:
     if g is None:
         return math.inf
     return float(p_n.step * g.sum() - 1.0)
-
-
-def truncated_tsallis_leading_term(alpha: float, gamma_s: float, s: int, n: int) -> float:
-    """alpha (alpha-1) gamma_s^2 / (2 s!) * n^-(s-2): the leading term of
-    I_alpha when all cumulants below order s vanish."""
-    return alpha * (alpha - 1.0) * gamma_s ** 2 / (2.0 * math.factorial(s)) * n ** (-(s - 2.0))
 
 
 def fit_leading_constant(ns, values, power: float):

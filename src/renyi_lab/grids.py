@@ -39,9 +39,7 @@ coefficients only where it is evaluated.  The module imports no scipy.
 
 from __future__ import annotations
 
-import csv
 import math
-import struct
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator
@@ -757,38 +755,3 @@ def pointwise_density_bound_check(model: AnalyticModel, n: int, sigma2: float,
     return CheckReport(verdict=verdict, witnesses=witnesses,
                        tolerances={"margin_tol": tol},
                        detail={"n": n, "sigma2": sigma2, "M": M})
-
-
-def grid_to_csv(p: GridDensity, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "value"])
-        for xi, vi in zip(p.x, p.values):
-            w.writerow([f"{xi:.12g}", f"{vi:.12g}"])
-
-
-def grid_from_csv(path) -> GridDensity:
-    xs, vs = [], []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        next(r)
-        for row in r:
-            xs.append(float(row[0]))
-            vs.append(float(row[1]))
-    xs = np.asarray(xs)
-    step = float(xs[1] - xs[0])
-    return GridDensity(float(xs[0]) - 0.5 * step, step, np.asarray(vs))
-
-
-def grid_to_binary(p: GridDensity, path) -> None:
-    """origin, step, then the values, all little-endian 64-bit floats."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<dd", p.origin, p.step))
-        fh.write(np.asarray(p.values, dtype="<f8").tobytes())
-
-
-def grid_from_binary(path) -> GridDensity:
-    with open(path, "rb") as fh:
-        origin, step = struct.unpack("<dd", fh.read(16))
-        vals = np.frombuffer(fh.read(), dtype="<f8")
-    return GridDensity(origin, step, vals.copy())

@@ -17,7 +17,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import SeriesError, TailDominanceError
-from .zoo import AnalyticModel, MomentSummary
+from .zoo import AnalyticModel
 
 _MOMENT_GRID_HALF_WIDTH = 20.0
 _MOMENT_GRID_POINTS = 1 << 15
@@ -209,61 +209,3 @@ def chi2_from_normal_moments(c: NormalMomentVector, t: float = 1.0) -> SeriesVal
             raise SeriesError("series tail not decreasing; increase K or chi2 infinite")
         tail = 5.0 * m1 * r / (1.0 - r)
     return SeriesValue(float(sum(terms)), tail)
-
-
-def moments_from_normal_moments(c: NormalMomentVector) -> MomentSummary:
-    """Raw moments E X^k = k! sum_j c_{k-2j} / ((k-2j)! j! 2^j)."""
-    if len(c) < 5:
-        raise ValueError("need normal moments at least up to order 4")
-    raw = []
-    for k in range(1, len(c)):
-        s = 0.0
-        for j in range(k // 2 + 1):
-            s += c[k - 2 * j] / (math.factorial(k - 2 * j) * math.factorial(j) * 2.0 ** j)
-        raw.append(math.factorial(k) * s)
-    return MomentSummary(mean=raw[0], variance=raw[1] - raw[0] ** 2,
-                         alpha3=raw[2], alpha4=raw[3],
-                         higher_moments=tuple(raw[4:]))
-
-
-def exponential_series_eval(c: NormalMomentVector, x: float) -> float:
-    """phi(x) sum_k c_k H_k(x) / k!, with a partial-sum stabilization gate.
-
-    Pointwise convergence of this series is delicate; the gate requires
-    the last five partial sums to agree to 1e-6 relative, else a
-    SeriesError is raised.
-    """
-    x = float(x)
-    hs = [1.0, *_hermite_seq(len(c) - 1, x)]
-    partials = []
-    s = 0.0
-    for k in range(len(c)):
-        s += c[k] * hs[k] / math.factorial(k)
-        partials.append(s)
-    if len(partials) >= 5:
-        window = partials[-5:]
-        spread = max(window) - min(window)
-        if spread > 1e-6 * (1.0 + abs(window[-1])):
-            raise SeriesError(f"series not pointwise convergent at x = {x:g}")
-    phi = math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-    return phi * s
-
-
-def hermite_binomial_check(a: float, b: float, k: int, n_points: int = 100,
-                           seed: int = 0) -> float:
-    """Max residual of H_k(ax+by) = sum_i C(k,i) a^i b^(k-i) H_i(x) H_{k-i}(y).
-
-    Requires a^2 + b^2 = 1; returns the worst absolute residual over a
-    deterministic sample of (x, y) pairs.
-    """
-    if abs(a * a + b * b - 1.0) > 1e-12:
-        raise ValueError("requires a^2 + b^2 = 1")
-    rng = np.random.default_rng(seed)
-    xy = rng.uniform(-3.0, 3.0, size=(n_points, 2))
-    x, y = xy[:, 0], xy[:, 1]
-    lhs = hermite_eval(k, a * x + b * y)
-    rhs = np.zeros_like(x)
-    for i in range(k + 1):
-        rhs += (math.comb(k, i) * a ** i * b ** (k - i)
-                * hermite_eval(i, x) * hermite_eval(k - i, y))
-    return float(np.max(np.abs(lhs - rhs)))

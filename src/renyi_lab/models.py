@@ -616,14 +616,3 @@ def mixture_chi2(pi_spec) -> float:
                 return math.inf
             acc += wi * wj / math.sqrt(den)
     return acc / (total * total) - 1.0
-
-
-def mixture_finiteness(kappa: float, delta_gap: float, n: int) -> bool:
-    """Is chi^2(Z_n, Z) finite for a mixing law with F(eps) ~ eps^kappa
-    near 0 and support in (0, 2 - delta_gap)?  True iff n > 1/(4 kappa).
-    """
-    if kappa <= 0 or delta_gap <= 0:
-        raise ValueError("kappa and delta_gap must be positive")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return n > 1.0 / (4.0 * kappa)

@@ -395,17 +395,6 @@ def esscher(p: GridDensity, h: float) -> GridDensity:
     return GridDensity(p.origin, p.step, w / total, meta={"h": h, "bias": float(bias)})
 
 
-def esscher_stats(prof: LogLaplaceProfile, h: float):
-    """Mean and variance of the tilted law: (K'(h), K''(h))."""
-    return float(prof.K1(h)), float(prof.K2(h))
-
-
-def esscher_variance_lower_bound(a_of_h: float, t_inf: float) -> float:
-    """sigma_h^2 >= (pi / 6 c^2) e^{-2 A(h)} with c = 1 + T_inf(p || phi)."""
-    c = 1.0 + t_inf
-    return math.pi / (6.0 * c * c) * math.exp(-2.0 * a_of_h)
-
-
 def quartic_classify(alpha: float, beta: float) -> dict:
     """Classify the quartic family f(t) = e^{-t^2/2} (1 - alpha t^2 + beta t^4).
 

@@ -21,10 +21,6 @@ class MomentSummary:
     alpha4: float
     higher_moments: tuple = ()
 
-    def raw_moments(self) -> list:
-        m2 = self.variance + self.mean ** 2
-        return [1.0, self.mean, m2, self.alpha3, self.alpha4, *self.higher_moments]
-
 
 @dataclass(frozen=True)
 class AnalyticModel:

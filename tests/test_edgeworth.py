@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from renyi_lab import (CumulantVector, MomentSummary, cumulants_from_moments,
-                       edgeworth_density, expansion_constants,
-                       fit_leading_constant, lyapunov_ratio, q_polynomial,
-                       truncated_tsallis, truncated_tsallis_leading_term)
+from renyi_lab import (CumulantVector, edgeworth_density, expansion_constants,
+                       fit_leading_constant, moment_summary, q_polynomial,
+                       truncated_tsallis)
 from conftest import model_of, pn_of
 
 
@@ -50,22 +49,12 @@ def test_q_degree_cap():
         assert q_polynomial(nu, g).degree <= 3 * nu
 
 
-def test_cumulants_from_uniform_moments():
-    m = MomentSummary(mean=0.0, variance=1.0, alpha3=0.0, alpha4=9.0 / 5.0,
-                      higher_moments=(0.0, 27.0 / 7.0, 0.0, 9.0))
-    g = cumulants_from_moments(m, 8)
-    assert abs(g.gamma(2) - 1.0) < 1e-14
-    assert abs(g.gamma(4) + 6.0 / 5.0) < 1e-14
-    assert abs(g.gamma(6) - 48.0 / 7.0) < 1e-12
-    assert abs(g.gamma(8) + 432.0 / 5.0) < 1e-11
-
-
 def test_cumulant_moment_roundtrip_skewed(skewed_model):
+    # the model is standardized: gamma_3 = alpha_3 and gamma_4 = alpha_4 - 3
     p = pn_of({"kind": "bernoulli_gauss", "params": {"p": 0.2, "beta": 1.127}}, 1)
-    from renyi_lab import moment_summary
-    g = cumulants_from_moments(moment_summary(p, order=4), 4)
-    assert abs(g.gamma(3) - skewed_model.cumulants[2]) < 1e-6
-    assert abs(g.gamma(4) - skewed_model.cumulants[3]) < 1e-5
+    m = moment_summary(p, order=4)
+    assert abs(m.alpha3 - skewed_model.cumulants[2]) < 1e-6
+    assert abs(m.alpha4 - 3.0 - skewed_model.cumulants[3]) < 1e-5
 
 
 def test_edgeworth_density_improves_on_normal(uniform_model):
@@ -100,22 +89,13 @@ def test_expansion_constants():
     assert not skew["chi2_c2_valid"]
 
 
-def test_lyapunov_ratio_uniform():
-    e3 = 3.0 * math.sqrt(3.0) / 4.0  # E|X|^3 for the unit-variance uniform
-    n = 16
-    l3 = lyapunov_ratio([(e3, 1.0)] * n, 3.0)
-    assert abs(l3 - e3 / math.sqrt(n)) < 1e-14
-    l4 = lyapunov_ratio([(9.0 / 5.0, 1.0)] * n, 4.0)
-    assert l3 <= math.sqrt(l4) + 1e-14
-    with pytest.raises(ValueError):
-        lyapunov_ratio([(1.0, 1.0)], 2.0)
-
-
 def test_truncated_tsallis_matches_leading_term(uniform_model):
     alpha, s, n = 1.5, 4, 64
     p = pn_of("uniform", n)
     val = truncated_tsallis(p, alpha, s, n)
-    lead = truncated_tsallis_leading_term(alpha, uniform_model.cumulants[3], s, n)
+    # alpha (alpha-1) gamma_s^2 / (2 s!) n^-(s-2), all lower cumulants vanishing
+    gamma_s = uniform_model.cumulants[3]
+    lead = alpha * (alpha - 1.0) * gamma_s ** 2 / (2.0 * math.factorial(s)) * n ** (-(s - 2.0))
     assert abs(val - lead) < 0.15 * abs(lead)
 
 

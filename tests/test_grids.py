@@ -1,5 +1,4 @@
 import math
-import struct
 import warnings
 import weakref
 
@@ -14,9 +13,8 @@ from scipy.signal import fftconvolve
 from renyi_lab import (AliasingError, ChainTooLongError, ExperimentConfig,
                        GridConfig, GridDensity, GridTooNarrowError, ModelSpec,
                        TailDominanceError, convolve, discretize, entropy,
-                       entropy_power, gaussian_grid, gaussian_smooth,
-                       grid_from_binary, grid_from_csv, grid_to_binary,
-                       grid_to_csv, kl, laplace_eval, make_model,
+                       entropy_power, gaussian_grid, gaussian_smooth, kl,
+                       laplace_eval, make_model,
                        moment_summary, normalized_sum_density,
                        pointwise_density_bound_check, run_experiment,
                        sum_densities, wasserstein2)
@@ -74,13 +72,6 @@ def test_uniform_moments(uniform_grid):
 def test_grid_density_refuses_non_finite_origin_and_step(origin, step):
     with pytest.raises(ValueError, match="finite"):
         GridDensity(origin, step, [0.5, 0.5])
-
-
-def test_grid_from_binary_refuses_nan_step(tmp_path):
-    path = tmp_path / "nan.bin"
-    path.write_bytes(struct.pack("<dd", 0.0, math.nan) + np.ones(4, "<f8").tobytes())
-    with pytest.raises(ValueError, match="finite"):
-        grid_from_binary(path)
 
 
 def test_discretize_needs_power_of_two(uniform_model):
@@ -749,21 +740,3 @@ def test_pointwise_density_bound_uniform():
     report = pointwise_density_bound_check(model_of("uniform"), n=8,
                                            sigma2=1.0, M=1.0 / (2.0 * SQRT3))
     assert report.holds
-
-
-def test_csv_roundtrip(tmp_path, uniform_grid):
-    path = tmp_path / "grid.csv"
-    grid_to_csv(uniform_grid, path)
-    back = grid_from_csv(path)
-    # 12 significant digits round-trip the step only approximately
-    assert abs(back.step - uniform_grid.step) < 1e-9
-    assert np.max(np.abs(back.values - uniform_grid.values)) < 1e-10
-
-
-def test_binary_roundtrip(tmp_path, uniform_grid):
-    path = tmp_path / "grid.bin"
-    grid_to_binary(uniform_grid, path)
-    back = grid_from_binary(path)
-    assert back.origin == uniform_grid.origin
-    assert back.step == uniform_grid.step
-    assert np.array_equal(back.values, uniform_grid.values)

@@ -1,4 +1,3 @@
-import itertools
 import math
 import re
 
@@ -9,10 +8,8 @@ from hypothesis import strategies as st
 
 from renyi_lab import (GridDensity, NormalMomentVector, SeriesError,
                        TailDominanceError, chi2_from_normal_moments,
-                       exponential_series_eval, gaussian_grid, gaussian_smooth,
-                       hermite_binomial_check, hermite_coefficients,
-                       hermite_eval, moments_from_normal_moments,
-                       normal_moments, pearson_vajda)
+                       gaussian_grid, gaussian_smooth, hermite_coefficients,
+                       hermite_eval, normal_moments, pearson_vajda)
 from renyi_lab import hermite
 from conftest import SKEWED, model_of, pn_of, same_bits
 
@@ -126,22 +123,17 @@ def test_smoothing_scales_normal_moments():
 
 
 def test_moment_recovery_uniform():
+    # E X^k = k! sum_j c_{k-2j} / ((k-2j)! j! 2^j)
     c = normal_moments(model_of("uniform"), K=10)
-    m = moments_from_normal_moments(c)
-    assert abs(m.mean) < 1e-10
-    assert abs(m.variance - 1.0) < 1e-8
-    assert abs(m.alpha4 - 9.0 / 5.0) < 1e-7
+    f = math.factorial
+    raw = [f(k) * sum(c[k - 2 * j] / (f(k - 2 * j) * f(j) * 2.0 ** j) for j in range(k // 2 + 1))
+           for k in range(len(c))]
+    assert abs(raw[1]) < 1e-10
+    assert abs(raw[2] - raw[1] ** 2 - 1.0) < 1e-8
+    assert abs(raw[4] - 9.0 / 5.0) < 1e-7
     # E X^6 = 27/7, E X^8 = 9 for the unit-variance uniform
-    raw = m.raw_moments()
     assert abs(raw[6] - 27.0 / 7.0) < 1e-6
     assert abs(raw[8] - 9.0) < 1e-5
-
-
-def test_exponential_series_reconstruction():
-    c = NormalMomentVector((1.0, 0.0, 2.0) + (0.0,) * 8)
-    for x in (-1.5, 0.0, 0.7, 2.0):
-        target = x * x * math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-        assert abs(exponential_series_eval(c, x) - target) < 1e-12
 
 
 def _per_k_normal_moments(model, K):
@@ -172,18 +164,7 @@ def _per_k_normal_moments(model, K):
 ])
 def test_one_pass_recurrence_bitwise(spec, K):
     model = model_of(spec)
-    c = normal_moments(model, K)
-    assert c.values == _per_k_normal_moments(model, K)
-    for x in (-1.3, 0.0, 0.7, 2.5):
-        partials = list(itertools.accumulate(
-            c[k] * hermite_eval(k, x) / math.factorial(k) for k in range(len(c))))
-        window = partials[-5:]
-        if max(window) - min(window) > 1e-6 * (1.0 + abs(window[-1])):
-            with pytest.raises(SeriesError):  # the uniform's jumps
-                exponential_series_eval(c, x)
-            continue
-        phi = math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-        assert exponential_series_eval(c, x) == phi * partials[-1], x
+    assert normal_moments(model, K).values == _per_k_normal_moments(model, K)
 
 
 def test_series_refuses_non_finite_moments():
@@ -281,20 +262,15 @@ def test_normal_moments_probe_gate_matches_full_pass(case):
             normal_moments(p, K)
 
 
-def test_pointwise_series_gate():
-    # c_k ~ sqrt(k!) keeps the partial sums oscillating at O(1)
-    c = NormalMomentVector(tuple(math.sqrt(math.factorial(k)) for k in range(41)))
-    with pytest.raises(SeriesError):
-        exponential_series_eval(c, 3.0)
-
-
 def test_binomial_identity():
+    # H_k(ax + by) = sum_i C(k,i) a^i b^(k-i) H_i(x) H_{k-i}(y) when a^2 + b^2 = 1
+    x, y = np.random.default_rng(0).uniform(-3.0, 3.0, size=(100, 2)).T
     for a in (0.6, 1.0 / math.sqrt(2.0), 0.28):
         b = math.sqrt(1.0 - a * a)
         for k in (2, 3, 5, 8):
-            assert hermite_binomial_check(a, b, k) < 1e-8
-    with pytest.raises(ValueError):
-        hermite_binomial_check(0.5, 0.5, 3)
+            rhs = sum(math.comb(k, i) * a ** i * b ** (k - i) * hermite_eval(i, x)
+                      * hermite_eval(k - i, y) for i in range(k + 1))
+            assert np.max(np.abs(hermite_eval(k, a * x + b * y) - rhs)) < 1e-8
 
 
 def _hermite_loop(k, x):

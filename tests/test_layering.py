@@ -3,6 +3,7 @@ the model zoo never reaches up into the checker layer, and every cubic
 resample runs through one helper."""
 
 import ast
+import functools
 import json
 import subprocess
 import sys
@@ -61,10 +62,12 @@ def test_no_module_imports_scipy():
     assert [p.name for p in sorted(src.glob("*.py")) if "scipy" in _imported_modules(p)] == []
 
 
-def _references(name: str):
-    """(module, innermost enclosing function) of every use of `name` in
-    the package, as a plain name or an attribute, calls or not."""
-    found = []
+@functools.lru_cache(maxsize=None)
+def _uses(paths: tuple) -> dict:
+    """name -> (module, innermost enclosing function) of every use of the
+    name in the files at `paths`, as a plain name or an attribute, calls
+    or not; the module is the file's stem."""
+    found = {}
 
     class Uses(ast.NodeVisitor):
         def __init__(self, module):
@@ -78,22 +81,28 @@ def _references(name: str):
         visit_AsyncFunctionDef = visit_FunctionDef
 
         def visit_Name(self, node):
-            if node.id == name:
-                found.append((self.module, self.scope[-1]))
+            found.setdefault(node.id, []).append((self.module, self.scope[-1]))
 
         def visit_Attribute(self, node):
-            if node.attr == name:
-                found.append((self.module, self.scope[-1]))
+            found.setdefault(node.attr, []).append((self.module, self.scope[-1]))
             self.generic_visit(node)
 
         def visit_alias(self, node):
-            if node.name == name and node.asname not in (None, name):
-                found.append((self.module, f"import as {node.asname}"))
+            if node.asname not in (None, node.name):
+                found.setdefault(node.name, []).append(
+                    (self.module, f"import as {node.asname}"))
 
-    src = Path(renyi_lab.__file__).parent
-    for path in sorted(src.glob("*.py")):
+    for path in paths:
         Uses(path.stem).visit(ast.parse(path.read_text()))
     return found
+
+
+def _references(name: str, paths=None):
+    """`_uses` of `name` in the files at `paths`, the package's modules
+    by default."""
+    if paths is None:
+        paths = sorted(Path(renyi_lab.__file__).parent.glob("*.py"))
+    return _uses(tuple(paths)).get(name, [])
 
 
 def test_one_resample_path():
@@ -111,12 +120,37 @@ def _exports():
                   for alias in node.names)
 
 
+# exports that only the tests checking them reach, and why each stays
+TEST_ONLY_EXPORTS = {
+    "gaussian_smooth": "the heat flow behind the de Bruijn and heat-flow tests "
+                       "of the divergences and the Parseval chi-square",
+    "edgeworth_density": "the corrected density that the local-limit remainder "
+                         "of p_n is to be measured against",
+    "pointwise_density_bound_check": "the pointwise tail bound that the high-order "
+                                     "Renyi and D_inf values are to report",
+    "moment_summary": "the tests' tool for the moments of a grid density",
+}
+
+
+def test_every_export_has_a_use():
+    # a public name is reached by another package module, the benchmark
+    # or an acceptance criterion, not only by the unit tests of itself
+    root = Path(__file__).resolve().parents[1]
+    files = [*sorted(Path(renyi_lab.__file__).parent.glob("*.py")),
+             *sorted((root / "perfbench").glob("*.py")), root / "tests" / "test_acceptance.py"]
+    unused = [name for _, name in _exports() if name not in TEST_ONLY_EXPORTS
+              and not any(module != "__init__" and scope != name
+                          for module, scope in _references(name, files))]
+    assert not unused, f"only their own unit tests reach {unused}"
+    assert set(TEST_ONLY_EXPORTS) <= {name for _, name in _exports()}
+
+
 @pytest.mark.parametrize("access", ["attribute", "from-import"])
 def test_lazy_exports_resolve_to_their_submodules(access):
     # the API loads on first use; either way of asking gives the
     # submodule's own object, and the bare import loads no numpy
     exports = _exports()
-    assert len(exports) == 80
+    assert len(exports) == 64
     names = ", ".join(name for _, name in exports)
     first = (f"from renyi_lab import {names}\ngot = [{names}]" if access == "from-import"
              else "got = [getattr(renyi_lab, name) for _, name in exports]")

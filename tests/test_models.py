@@ -10,8 +10,8 @@ from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, roots_legendre
 
 from renyi_lab import (ConstraintError, ModelSpec, MODEL_DOCS, gaussian_grid,
-                       make_model, mixture_chi2, mixture_finiteness,
-                       pearson_vajda, sin_power_coefficients)
+                       make_model, mixture_chi2, pearson_vajda,
+                       sin_power_coefficients)
 from renyi_lab import models
 from renyi_lab.models import TrigPolynomial, minimize_bounded
 from conftest import model_of, pn_of, same_bits
@@ -193,19 +193,6 @@ def test_mixture_chi2_examples():
         mixture_chi2([[1.0, 2.0]])
     with pytest.raises(ValueError):
         mixture_chi2({"kappa": 0.5})
-
-
-def test_mixture_finiteness_rule():
-    # kappa = 1/12 needs n > 3; kappa = 1/8 needs n > 2
-    assert [n for n in range(1, 7) if mixture_finiteness(1.0 / 12.0, 0.1, n)] == [4, 5, 6]
-    assert [n for n in range(1, 7) if mixture_finiteness(1.0 / 8.0, 0.1, n)] == [3, 4, 5, 6]
-    assert mixture_finiteness(1.0, 0.1, 1)
-    with pytest.raises(ValueError):
-        mixture_finiteness(-0.1, 0.1, 2)
-    with pytest.raises(ValueError):
-        mixture_finiteness(0.5, 0.0, 2)
-    with pytest.raises(ValueError):
-        mixture_finiteness(0.5, 0.1, 0)
 
 
 def test_make_model_names_bad_parameters():

@@ -6,9 +6,8 @@ import pytest
 
 from renyi_lab import (AnalyticModel, ConstraintError, TailDominanceError,
                        bernoulli_log_laplace, bernoulli_subgauss_constant,
-                       convolve, dinf_clt_check, discretize, esscher, esscher_stats,
-                       esscher_variance_lower_bound, infinite_order,
-                       gaussian_grid, laplace_eval, moment_summary,
+                       convolve, dinf_clt_check, discretize, esscher,
+                       infinite_order, gaussian_grid, laplace_eval, moment_summary,
                        periodic_clt_check, profile, quartic_classify,
                        renyi_tsallis, separation_check, sin_power_coefficients,
                        strict_subgauss_check)
@@ -228,7 +227,8 @@ def test_esscher_convolution_multiplicative(uniform_grid):
 def test_esscher_stats_match_grid(uniform_model, uniform_grid):
     prof = profile(uniform_model)
     for h in (0.4, 1.5):
-        mean, var = esscher_stats(prof, h)
+        # the tilted law's mean and variance are K'(h) and K''(h)
+        mean, var = float(prof.K1(h)), float(prof.K2(h))
         m = moment_summary(esscher(uniform_grid, h))
         # boundary-cell averaging of the uniform biases grid moments ~1e-5
         assert abs(mean - m.mean) < 1e-4, h
@@ -259,10 +259,12 @@ def test_tilted_log_laplace_identity(uniform_model, uniform_grid):
 
 def test_esscher_variance_lower_bound(uniform_model, uniform_grid):
     prof = profile(uniform_model)
+    # sigma_h^2 >= (pi / 6 c^2) e^{-2 A(h)} with c = 1 + T_inf(p || phi)
     _, tinf = infinite_order(uniform_grid, gaussian_grid(uniform_grid))
+    c = 1.0 + tinf
     for h in np.linspace(-3.0, 3.0, 13):
         var = float(prof.K2(h))
-        bound = esscher_variance_lower_bound(float(prof.A(h)), tinf)
+        bound = math.pi / (6.0 * c * c) * math.exp(-2.0 * float(prof.A(h)))
         assert var >= bound - 1e-9, h
 
 
