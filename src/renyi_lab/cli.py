@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import LabError
-from .reports import FAILS, HOLDS, INCONCLUSIVE
+from .reports import FAILS, HOLDS, INCONCLUSIVE, worst
 
 if TYPE_CHECKING:
     from .grids import GridConfig
@@ -245,11 +245,11 @@ def _check_report(args, which) -> int:
         report = strict_subgauss_check(prof)
         if args.t0:
             sep = separation_check(prof, _parse_floats(args.t0))
-            worst = max(report.verdict, sep.verdict, key=lambda v: _EXIT[v])
+            verdict = worst((report.verdict, sep.verdict))
             payload = {"strict": report.to_dict(), "separation": sep.to_dict(),
-                       "verdict": worst}
+                       "verdict": verdict}
             sys.stdout.write(json.dumps(payload, indent=2, default=float) + "\n")
-            return _EXIT[worst]
+            return _EXIT[verdict]
     else:
         report = dinf_clt_check(prof)
     sys.stdout.write(json.dumps(report.to_dict(), indent=2, default=float) + "\n")

@@ -21,6 +21,7 @@ from .grids import GridDensity
 
 _HUGE = 1e290
 _LOG_HUGE = math.log(_HUGE)
+_Q_FLOOR = 1e-300    # reference values at or below it count as q-null in `infinite_order`
 _DECAY_REL = 1e-10
 # the GridDensity attribute where renyi_tsallis keeps a pair's support
 _PAIR_SLOT = "_power_ratio_support"
@@ -214,7 +215,7 @@ def pearson_vajda(p: GridDensity, q: GridDensity, alpha: float) -> float:
     return pearson_vajda_result(p, q, alpha).value
 
 
-def infinite_order(p: GridDensity, q: GridDensity, q_floor: float = 1e-300):
+def infinite_order(p: GridDensity, q: GridDensity):
     """D_inf = log sup(p/q) and T_inf = sup((p-q)/q) over grid nodes.
 
     The sup is taken over the grid window only, and no bound is reported
@@ -223,7 +224,7 @@ def infinite_order(p: GridDensity, q: GridDensity, q_floor: float = 1e-300):
     outside the window, and the value is then only the window's sup.
     """
     _same_grid(p, q)
-    m = q.values > q_floor
+    m = q.values > _Q_FLOOR
     if not np.any(m):
         raise ValueError("reference density vanishes on the whole window")
     sup = float(np.max(p.values[m] / q.values[m]))

@@ -9,6 +9,12 @@ FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
 
+def worst(verdicts) -> str:
+    """The worst of some verdicts: "fails", then "inconclusive", then
+    "holds", which is also the verdict of none at all."""
+    return min(verdicts, key=(FAILS, INCONCLUSIVE, HOLDS).index, default=HOLDS)
+
+
 @dataclass
 class CheckReport:
     """Outcome of a numerical condition check.

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConstraintError, TailDominanceError
 from .models import TrigPolynomial, minimize_bounded
-from .reports import FAILS, HOLDS, INCONCLUSIVE, CheckReport
+from .reports import FAILS, HOLDS, INCONCLUSIVE, CheckReport, worst
 from .zoo import AnalyticModel
 
 if TYPE_CHECKING:
@@ -38,6 +38,10 @@ ZERO_TOL = 1e-8          # A(t) <= ZERO_TOL*(1+t^2) marks the approximate zero s
 DERIV_TOL = 1e-4         # |A''| allowed on the zero set
 MARGIN_BAND = 1e-9       # tolerance band for strict subgaussianity margins
 _FD_H = 0.01
+_PROFILE_SAMPLES = 2001  # nodes of the numeric profile over t_range
+_STRICT_SAMPLES = 4001   # strict-margin scan of the profile's t range
+_SCAN_SAMPLES = 8001     # separation and zero-set scans of the profile's t range
+_PERIOD_SAMPLES = 16384  # zero-set scan of one period of a trig component
 
 
 @dataclass(frozen=True)
@@ -115,13 +119,12 @@ def _decayed_run(p: GridDensity, ts: np.ndarray):
     return ts[a:b + 1], [ks[j] for j in range(a, b + 1)]
 
 
-def profile(model: AnalyticModel, t_range=(-40.0, 40.0),
-            samples: int = 2001) -> LogLaplaceProfile:
+def profile(model: AnalyticModel, t_range=(-40.0, 40.0)) -> LogLaplaceProfile:
     """Build the log-Laplace profile of a model.
 
     Closed-form path when the model carries log_laplace; otherwise K is
     tabulated from the grid density at the nodes of
-    linspace(t_range, samples) where the tilted integrand still decays
+    linspace(t_range, _PROFILE_SAMPLES) where the tilted integrand still decays
     inside the window, and interpolated by a cubic spline (tail
     classification then stays "unknown").
 
@@ -152,10 +155,10 @@ def profile(model: AnalyticModel, t_range=(-40.0, 40.0),
             cumulants=model.cumulants)
     from .grids import GridConfig, _spline, discretize
     p = discretize(model, GridConfig().half_width, GridConfig().points)
-    ts, ks = _decayed_run(p, np.linspace(lo, hi, samples))
+    ts, ks = _decayed_run(p, np.linspace(lo, hi, _PROFILE_SAMPLES))
     if len(ts) < 10:
         raise ValueError(f"Laplace transform of {model.name!r} not evaluable on range")
-    spline = _spline(ts[0], (hi - lo) / (samples - 1), ks)
+    spline = _spline(ts[0], (hi - lo) / (_PROFILE_SAMPLES - 1), ks)
     sigma2 = model.variance
     if sigma2 is None:
         sigma2 = float(spline.derivative(2)(0.0))
@@ -172,15 +175,14 @@ def _third_fourth_at_zero(K, h=0.05):
     return float(k3), float(k4)
 
 
-def strict_subgauss_check(prof: LogLaplaceProfile, sigma2: float | None = None,
-                          samples: int = 4001) -> CheckReport:
+def strict_subgauss_check(prof: LogLaplaceProfile) -> CheckReport:
     """Is K(t) <= sigma^2 t^2 / 2 everywhere sampled?
 
     Also asserts the necessary moment facts E X^3 = 0 and
     E X^4 <= 3 sigma^4 (third cumulant zero, fourth cumulant <= 0).
     """
-    s2 = prof.sigma2 if sigma2 is None else float(sigma2)
-    t = np.linspace(prof.t_min, prof.t_max, samples)
+    s2 = prof.sigma2
+    t = np.linspace(prof.t_min, prof.t_max, _STRICT_SAMPLES)
     margin = 0.5 * s2 * t * t - prof.K(t)
     band = MARGIN_BAND * (1.0 + t * t)
     tolerances = {"margin_band": MARGIN_BAND, "moment_tol": 1e-6}
@@ -213,13 +215,13 @@ def strict_subgauss_check(prof: LogLaplaceProfile, sigma2: float | None = None,
                        detail={"sigma2": s2, "gamma3": g3, "gamma4_excess": g4})
 
 
-def separation_check(prof: LogLaplaceProfile, t0_list, samples: int = 8001) -> CheckReport:
+def separation_check(prof: LogLaplaceProfile, t0_list) -> CheckReport:
     """sup_{|t| >= t0} psi(t) < 1 for each requested t0.
 
     Degenerate psi == 1 (the normal itself) and profiles whose tail
     cannot be classified come back inconclusive.
     """
-    t = np.linspace(prof.t_min, prof.t_max, samples)
+    t = np.linspace(prof.t_min, prof.t_max, _SCAN_SAMPLES)
     psi = prof.psi(t)
     tolerances = {"margin_band": MARGIN_BAND}
     if float(np.max(np.abs(psi - 1.0))) < 1e-12:
@@ -245,31 +247,27 @@ def separation_check(prof: LogLaplaceProfile, t0_list, samples: int = 8001) -> C
             verdicts.append(HOLDS)
         else:
             verdicts.append(INCONCLUSIVE)
-    if FAILS in verdicts:
-        verdict = FAILS
-    elif INCONCLUSIVE in verdicts:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = HOLDS
-    return CheckReport(verdict, witnesses=witnesses, tolerances=tolerances,
+    return CheckReport(worst(verdicts), witnesses=witnesses, tolerances=tolerances,
                        detail={"tail": prof.tail})
 
 
-def _zero_clusters(ts, in_band):
-    runs = []
-    start = None
-    for i, flag in enumerate(in_band):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(ts) - 1))
-    return runs
+def _zeros(f, ts, in_band, xatol, tol, skip_ends=False):
+    """Yield one zero of f >= 0 for each run of in_band over ts: Brent's
+    minimizer of f between the run's outer neighbours, kept when f there
+    is at most tol(t).  With skip_ends, runs touching an end of ts are
+    passed over."""
+    last = len(ts) - 1
+    edges = np.flatnonzero(np.diff(in_band, prepend=False, append=False))
+    for i0, i1 in zip(edges[::2], edges[1::2] - 1):
+        if skip_ends and (i0 == 0 or i1 == last):
+            continue
+        t = float(minimize_bounded(f, ts[max(i0 - 1, 0)], ts[min(i1 + 1, last)], xatol)[0])
+        if f(t) > tol(t):
+            continue
+        yield t
 
 
-def dinf_clt_check(prof: LogLaplaceProfile, samples: int = 8001) -> CheckReport:
+def dinf_clt_check(prof: LogLaplaceProfile) -> CheckReport:
     """Conditions for the CLT in D_inf (vanishing A'' on the zero set of A).
 
     (a) is checked at refined minimizers of A inside each cluster of the
@@ -297,41 +295,21 @@ def dinf_clt_check(prof: LogLaplaceProfile, samples: int = 8001) -> CheckReport:
                            tolerances={**tolerances, **rep.tolerances},
                            zero_set=rep.zero_set,
                            detail={**rep.detail, "tail": "periodic", "propagated": True})
-    if prof.tail == "periodic" and prof.period:
-        lo, hi = -0.25 * prof.period, 1.25 * prof.period
-        propagated = True
-    elif prof.tail == "decaying":
-        lo, hi = prof.t_min, prof.t_max
-        propagated = True
-    else:
+    if prof.tail != "decaying":
         return CheckReport(INCONCLUSIVE, tolerances=tolerances,
                            detail={"reason": "tail behavior unclassified"})
-    ts = np.linspace(lo, hi, samples)
-    a_vals = prof.A(ts)
-    in_band = a_vals <= ZERO_TOL * (1.0 + ts * ts)
-    step = ts[1] - ts[0]
-    zero_set = []
-    witnesses = []
-    verdict = HOLDS
-    for i0, i1 in _zero_clusters(ts, in_band):
-        left = ts[max(i0 - 1, 0)]
-        right = ts[min(i1 + 1, len(ts) - 1)]
-        t_star = float(minimize_bounded(lambda t: float(prof.A(t)), left, right, 1e-11)[0])
-        if float(prof.A(t_star)) > ZERO_TOL * (1.0 + t_star * t_star):
-            continue
-        a2 = float(prof.A2(t_star))
-        zero_set.append(t_star)
-        witnesses.append((t_star, DERIV_TOL - abs(a2)))
-        if abs(a2) > DERIV_TOL:
-            verdict = FAILS
-    detail = {"tail": prof.tail, "propagated": propagated, "scan_step": float(step)}
-    if prof.tail == "periodic":
-        detail["period"] = prof.period
-    return CheckReport(verdict, witnesses=witnesses, tolerances=tolerances,
-                       zero_set=zero_set, detail=detail)
+    ts = np.linspace(prof.t_min, prof.t_max, _SCAN_SAMPLES)
+    band = lambda t: ZERO_TOL * (1.0 + t * t)
+    zero_set = list(_zeros(lambda t: float(prof.A(t)), ts, prof.A(ts) <= band(ts),
+                           1e-11, band))
+    witnesses = [(t, DERIV_TOL - abs(float(prof.A2(t)))) for t in zero_set]
+    verdict = FAILS if any(m < 0.0 for _, m in witnesses) else HOLDS
+    return CheckReport(verdict, witnesses=witnesses, tolerances=tolerances, zero_set=zero_set,
+                       detail={"tail": prof.tail, "propagated": True,
+                               "scan_step": float(ts[1] - ts[0])})
 
 
-def periodic_clt_check(p_coeffs, h: float, samples: int = 16384) -> CheckReport:
+def periodic_clt_check(p_coeffs, h: float) -> CheckReport:
     """Classify a periodic component P(t) = a0 + sum a_k cos kt + b_k sin kt.
 
     Preconditions (checked from the coefficients): P(0) = P'(0) = P''(0) = 0
@@ -345,32 +323,20 @@ def periodic_clt_check(p_coeffs, h: float, samples: int = 16384) -> CheckReport:
             raise ValueError(f"h = {h:g} is not a period of the k = {k} harmonic")
     poly.check_moments()
     scale = poly.scale
-    ts = np.linspace(0.0, h, samples)
+    ts = np.linspace(0.0, h, _PERIOD_SAMPLES)
     pv = poly(ts)
     if float(pv.min()) < -1e-12 * scale:
         raise ConstraintError("P is negative inside the period")
     p2_tol = 1e-8 * (sum(k * k * abs(ak) for k, ak in enumerate(poly.a, start=1))
                      + sum(k * k * abs(bk) for k, bk in enumerate(poly.b, start=1))) + 1e-12
-    in_band = pv <= 1e-6 * scale
-    zero_set = []
-    witnesses = []
-    classification = "converges_with_rate"
-    verdict = HOLDS
-    for i0, i1 in _zero_clusters(ts, in_band):
-        if i0 == 0 or i1 == len(ts) - 1:
-            continue  # the mandatory zero at the period endpoints
-        left, right = ts[i0 - 1], ts[i1 + 1]
-        t_star = float(minimize_bounded(lambda t: float(poly(t)), left, right, 1e-12)[0])
-        if float(poly(t_star)) > 1e-10 * scale:
-            continue
-        p2 = float(poly(t_star, deriv=2))
-        zero_set.append(t_star)
-        witnesses.append((t_star, p2))
-        if abs(p2) > p2_tol:
-            verdict = FAILS
-            classification = "fails"
-        elif classification != "fails":
-            classification = "converges"
+    # runs touching t = 0 or t = h hold the mandatory zero at the period's ends
+    zero_set = list(_zeros(lambda t: float(poly(t)), ts, pv <= 1e-6 * scale,
+                           1e-12, lambda t: 1e-10 * scale, skip_ends=True))
+    witnesses = [(t, float(poly(t, deriv=2))) for t in zero_set]
+    if any(abs(p2) > p2_tol for _, p2 in witnesses):
+        verdict, classification = FAILS, "fails"
+    else:
+        verdict, classification = HOLDS, "converges" if zero_set else "converges_with_rate"
     return CheckReport(verdict, witnesses=witnesses,
                        tolerances={"p2_tol": p2_tol},
                        zero_set=zero_set,

@@ -359,6 +359,16 @@ def test_check_subgauss_exit_codes(capsys):
                        "--t0", "1.0")
     assert code == 2
     assert json.loads(out)["verdict"] == "inconclusive"
+    # strict fails, and separation is inconclusive only because t0 lies
+    # beyond the profile's range: the combined verdict is the worse one
+    code, out, _ = run(capsys, "check-subgauss", "--model",
+                       '{"kind": "bernoulli_gauss", "params": {"p": 0.2, "beta": 1.127}}',
+                       "--t0", "50")
+    report = json.loads(out)
+    assert report["strict"]["verdict"] == "fails"
+    assert report["separation"]["verdict"] == "inconclusive"
+    assert code == 1
+    assert report["verdict"] == "fails"
 
 
 def test_check_clt_dinf_exit_codes(capsys):

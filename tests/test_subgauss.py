@@ -92,6 +92,11 @@ def test_dinf_numeric_only_inconclusive():
                              cumulants=base.cumulants)
     report = dinf_clt_check(profile(stripped, t_range=(-3.0, 3.0)))
     assert report.verdict == "inconclusive"
+    # a periodic tail without its trig component is as undecidable
+    untrigged = dataclasses.replace(profile(model_of("sin_power")), trig=None)
+    report = dinf_clt_check(untrigged)
+    assert (report.verdict, report.detail["reason"]) == ("inconclusive",
+                                                         "tail behavior unclassified")
 
 
 # every zoo member with a density
