@@ -89,12 +89,30 @@ def _parse_grid(text: str) -> GridConfig:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_floats(text: str):
-    return [float(v) for v in text.split(",") if v]
+def _list_of(convert, what: str, example: str, positive: bool = False):
+    """An argparse type for a non-empty comma-separated list of `what`,
+    each read by convert; with positive, each must also be positive and
+    finite.  Empty items are skipped."""
+    def parse(text: str) -> list:
+        try:
+            vals = [convert(v) for v in text.split(",") if v]
+        except ValueError:
+            vals = []
+        if not vals or positive and not all(0 < v < math.inf for v in vals):
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, e.g. {example}; got {text!r}")
+        return vals
+    return parse
 
 
-def _parse_ints(text: str):
-    return [int(v) for v in text.split(",") if v]
+def _parse_order(text: str) -> int:
+    try:
+        m = int(text)
+    except ValueError:
+        m = 0
+    if m < 3:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 3; got {text!r}")
+    return m
 
 
 def _emit(rows, header, args):
@@ -224,7 +242,7 @@ def _cmd_edgeworth(args) -> int:
             raise LabError(f"model {model.name!r} has no closed-form cumulants")
         gam = CumulantVector(model.cumulants)
     else:
-        gam = CumulantVector(tuple(_parse_floats(args.gammas)))
+        gam = CumulantVector(tuple(args.gammas))
     rows = []
     for nu in range(1, args.m - 1):
         poly = q_polynomial(nu, gam)
@@ -244,7 +262,7 @@ def _check_report(args, which) -> int:
     if which == "subgauss":
         report = strict_subgauss_check(prof)
         if args.t0:
-            sep = separation_check(prof, _parse_floats(args.t0))
+            sep = separation_check(prof, args.t0)
             verdict = worst((report.verdict, sep.verdict))
             payload = {"strict": report.to_dict(), "separation": sep.to_dict(),
                        "verdict": verdict}
@@ -290,7 +308,7 @@ def build_parser() -> _Parser:
 
     d = sp.add_parser("dist", help="divergences of Z_n from the standard normal")
     d.add_argument("--model", required=True)
-    d.add_argument("--alpha", type=_parse_floats, default="2",
+    d.add_argument("--alpha", type=_list_of(float, "numbers", "1,2,inf"), default="2",
                    help="comma-separated orders; 1 means KL, inf allowed")
     d.add_argument("--n", type=int, default=1)
     _add_common(d, grid=True)
@@ -300,7 +318,7 @@ def build_parser() -> _Parser:
     r.add_argument("--model", required=True)
     r.add_argument("--distance", default="chi2", choices=list(_ORDERS))
     r.add_argument("--alpha-value", type=float, default=2.0)
-    r.add_argument("--n", type=_parse_ints, default="16,32,64",
+    r.add_argument("--n", type=_list_of(int, "integers", "16,32,64"), default="16,32,64",
                    help="comma-separated, strictly increasing")
     _add_common(r, grid=True)
     r.set_defaults(fn=_cmd_rate)
@@ -314,14 +332,17 @@ def build_parser() -> _Parser:
     e = sp.add_parser("edgeworth", help="correction polynomial coefficients")
     source = e.add_mutually_exclusive_group(required=True)
     source.add_argument("--model")
-    source.add_argument("--gammas", help="comma-separated cumulants gamma_1,...")
-    e.add_argument("--m", type=int, default=4, help="expansion order (emits q_1..q_{m-2})")
+    source.add_argument("--gammas", type=_list_of(float, "numbers", "0,1,0.6"),
+                        help="comma-separated cumulants gamma_1,...")
+    e.add_argument("--m", type=_parse_order, default=4,
+                   help="expansion order, at least 3 (emits q_1..q_{m-2})")
     _add_common(e)
     e.set_defaults(fn=_cmd_edgeworth)
 
     cs = sp.add_parser("check-subgauss", help="strict subgaussianity checker")
     cs.add_argument("--model", required=True)
-    cs.add_argument("--t0", default=None, help="also run the separation check at these t0")
+    cs.add_argument("--t0", type=_list_of(float, "positive finite numbers", "0.5,1,2", True),
+                    default=None, help="also run the separation check at these t0")
     cs.set_defaults(fn=lambda a: _check_report(a, "subgauss"))
 
     cd = sp.add_parser("check-clt-dinf", help="CLT-in-D_inf condition checker")

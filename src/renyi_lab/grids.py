@@ -412,6 +412,24 @@ def _halved(p: GridDensity) -> GridDensity:
                        p.values[start::2].copy(), meta=p.meta)
 
 
+def _halving(power: GridDensity, acc: dict) -> tuple:
+    """One halving attempt of a `sum_densities` pass: (power, acc, True)
+    with power and every pending product of acc halved, an array that
+    several products share halved once, or the arguments and False when
+    one of them does not follow the halving.
+
+    Every check frees its temporaries before the first copy.  The
+    attempt's own references die with the call, so once the caller
+    rebinds power and acc, taken or not, nothing holds an array the pass
+    no longer needs.
+    """
+    live = {id(a): a for a in (power, *acc.values())}
+    if not all(map(_follows_halving, live.values())):
+        return power, acc, False
+    halved = {k: _halved(a) for k, a in live.items()}
+    return halved[id(power)], {n: halved[id(a)] for n, a in acc.items()}, True
+
+
 def _halves(sd: float, m: int, step: float) -> bool:
     """Whether the sd of a sum of m summands spans more than
     2 _NODES_PER_SD nodes of the given step."""
@@ -490,8 +508,10 @@ def sum_densities(model: AnalyticModel, ns: Iterable[int], grid_cfg: GridConfig 
     all its arrays.  A halving is taken only if each of them follows it:
     the 4-point cubic of its kept nodes predicts every dropped interior
     node to _HALVING_TOL of its peak.  Otherwise the pass keeps its step
-    until the next squaring.  p_n's meta["chain_step"] is the step of the
-    array it was resampled from.
+    until the next squaring.  A halving, taken or declined, leaves the pass
+    holding only the arrays it still needs, the power and the pending
+    products, so an array it replaces is freed at once.  p_n's
+    meta["chain_step"] is the step of the array it was resampled from.
 
     Raises ChainTooLongError before any transform when the longest
     convolution output of the pass with every halving taken, a squaring's
@@ -531,14 +551,9 @@ def sum_densities(model: AnalyticModel, ns: Iterable[int], grid_cfg: GridConfig 
             power = _sum_density(_fftsquare(held), _sum_origin(origin, origin, step), step)
             squared.append(power.meta["mass_drift"])
             power = _windowed(power, half(1 << j), model.name, 1 << j)
-            while _halves(sd, 1 << j, power.step):
-                # every check frees its temporaries before the first copy
-                live = {id(a): a for a in (power, *acc.values())}
-                if not all(map(_follows_halving, live.values())):
-                    break  # the pass keeps its step
-                halved = {k: _halved(a) for k, a in live.items()}
-                power = halved[id(power)]
-                acc = {n: halved[id(a)] for n, a in acc.items()}
+            taken = True
+            while taken and _halves(sd, 1 << j, power.step):
+                power, acc, taken = _halving(power, acc)
         for n in ns:
             if not n >> j & 1:
                 continue

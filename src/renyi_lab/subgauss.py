@@ -229,12 +229,14 @@ def separation_check(prof: LogLaplaceProfile, t0_list) -> CheckReport:
                            detail={"reason": "psi identically 1 (normal law)"})
     witnesses = []
     verdicts = []
+    beyond = []  # the t0 that no scanned |t| reaches
     for t0 in t0_list:
-        if t0 <= 0:
+        if not t0 > 0:
             raise ValueError("t0 must be positive")
         region = np.abs(t) >= t0
         if not np.any(region):
             verdicts.append(INCONCLUSIVE)
+            beyond.append(f"{t0:g}")
             continue
         i = int(np.argmax(np.where(region, psi, -np.inf)))
         margin = 1.0 - float(psi[i])
@@ -247,8 +249,12 @@ def separation_check(prof: LogLaplaceProfile, t0_list) -> CheckReport:
             verdicts.append(HOLDS)
         else:
             verdicts.append(INCONCLUSIVE)
+    detail = {"tail": prof.tail}
+    if beyond:
+        detail["reason"] = (f"no scanned |t| reaches t0 = {', '.join(beyond)}; "
+                            f"the profile spans [{prof.t_min:g}, {prof.t_max:g}]")
     return CheckReport(worst(verdicts), witnesses=witnesses, tolerances=tolerances,
-                       detail={"tail": prof.tail})
+                       detail=detail)
 
 
 def _zeros(f, ts, in_band, xatol, tol, skip_ends=False):

@@ -253,6 +253,38 @@ def test_rate_bad_n_exits_3(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["check-subgauss", "--model", "uniform", "--t0", "0"], "--t0"),
+    (["check-subgauss", "--model", "uniform", "--t0", "-1"], "--t0"),
+    (["check-subgauss", "--model", "uniform", "--t0", "nan"], "--t0"),
+    (["check-subgauss", "--model", "uniform", "--t0", "inf"], "--t0"),
+    (["check-subgauss", "--model", "uniform", "--t0", "0.5,abc"], "--t0"),
+    (["check-subgauss", "--model", "uniform", "--t0", ","], "--t0"),
+    (["dist", "--model", "uniform", "--alpha", ","], "--alpha"),
+    (["dist", "--model", "uniform", "--alpha", "abc"], "--alpha"),
+    (["edgeworth", "--gammas", "0,1,0.6,0.4", "--m", "2"], "--m"),
+    (["edgeworth", "--gammas", "0,1,0.6,0.4", "--m", "-5"], "--m"),
+    (["edgeworth", "--gammas", "abc"], "--gammas"),
+    (["rate", "--model", "uniform", "--n", ","], "--n"),
+    (["rate", "--model", "uniform", "--n", "abc"], "--n"),
+])
+def test_bad_list_or_order_exits_3_naming_the_flag(capsys, argv, flag):
+    # refused by the parser, with a message that says what the flag takes
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"renyi-lab {argv[0]}: error: argument {flag}: expected ")
+    assert "invalid" not in out.err and out.err.count("\n") == 1
+
+
+def test_list_flags_skip_empty_items(capsys):
+    # a trailing comma is not an argument error: the output is unchanged
+    assert run(capsys, "dist", "--model", "uniform", "--n", "2", "--alpha", "1,2,") == \
+        run(capsys, "dist", "--model", "uniform", "--n", "2", "--alpha", "1,2")
+
+
 def test_rate_decreasing_n_exits_1(capsys):
     code, _, _ = run(capsys, "rate", "--model", "uniform", "--n", "32,16")
     assert code == 1
@@ -367,6 +399,8 @@ def test_check_subgauss_exit_codes(capsys):
     report = json.loads(out)
     assert report["strict"]["verdict"] == "fails"
     assert report["separation"]["verdict"] == "inconclusive"
+    assert report["separation"]["detail"]["reason"] == (
+        "no scanned |t| reaches t0 = 50; the profile spans [-40, 40]")
     assert code == 1
     assert report["verdict"] == "fails"
 

@@ -371,6 +371,50 @@ def test_stream_releases_powers(monkeypatch):
     assert len(powers) == 5 and all(r() is None for r in powers)
 
 
+def test_taken_halving_frees_what_it_replaces(skewed_model, monkeypatch):
+    replaced = []  # weakrefs to the values of every array a halving replaced
+    stale = []     # how many of them are alive at each forward transform
+    real_rfft, real_halved = np.fft.rfft, grids._halved
+
+    def rfft(*args, **kwargs):
+        stale.append(sum(r() is not None for r in replaced))
+        return real_rfft(*args, **kwargs)
+
+    def halved(p):
+        replaced.append(weakref.ref(p.values))
+        return real_halved(p)
+    monkeypatch.setattr(np.fft, "rfft", rfft)
+    monkeypatch.setattr(grids, "_halved", halved)
+    # the m = 256 and m = 1024 squarings each halve the power
+    steps = [p.meta["chain_step"] for p in sum_densities(skewed_model, (256, 1024))]
+    assert steps == [2 * 24.0 / 16384, 4 * 24.0 / 16384]
+    assert len(replaced) == 2
+    # ten squarings and no product; no replaced array reaches a later one
+    assert stale == [0] * 10
+
+
+def test_declined_halving_keeps_no_power(monkeypatch):
+    inputs = []  # weakrefs to the values each squaring was given
+    dead = []    # whether that input is freed at the squaring's inverse transform
+    real_irfft, real_square = np.fft.irfft, grids._fftsquare
+
+    def irfft(*args, **kwargs):
+        dead.append(inputs[-1]() is None)
+        return real_irfft(*args, **kwargs)
+
+    def square(held):
+        inputs.append(weakref.ref(held[0]))
+        return real_square(held)
+    monkeypatch.setattr(np.fft, "irfft", irfft)
+    monkeypatch.setattr(grids, "_fftsquare", square)
+    # on this fine grid the chain declines the halving at m = 2, whose
+    # triangle density has kinks, and takes three after; n = 2 and 16 are
+    # powers of two, so no pending product holds a power
+    stream = sum_densities(model_of("uniform"), (2, 16), GridConfig(12.0, 262144))
+    assert len(list(stream)) == 2
+    assert dead == [True] * 4
+
+
 def test_stream_standardizes_by_sigma():
     # S_n/(sigma sqrt(n)) is the resample of the same product base^n;
     # n = 1 resamples the base itself

@@ -73,6 +73,26 @@ def test_separation_checks():
     assert separation_check(per, [1.0]).verdict == "fails"
 
 
+@pytest.mark.parametrize("t0", [0.0, -1.0, math.nan])
+def test_separation_refuses_a_non_positive_t0(t0):
+    with pytest.raises(ValueError, match="t0 must be positive"):
+        separation_check(profile(model_of("uniform")), [1.0, t0])
+
+
+def test_separation_says_which_t0_lies_beyond_the_profile():
+    prof = profile(model_of(SKEWED))
+    assert (prof.t_min, prof.t_max) == (-40.0, 40.0)
+    report = separation_check(prof, [5.0, 50.0, 60.0])
+    assert report.verdict == "inconclusive"
+    assert len(report.witnesses) == 1  # t0 = 5 alone is scanned
+    assert report.detail == {
+        "tail": "decaying",
+        "reason": "no scanned |t| reaches t0 = 50, 60; the profile spans [-40, 40]"}
+    # a t0 inside the range gives no reason
+    inside = separation_check(prof, [5.0])
+    assert inside.verdict == "holds" and inside.detail == {"tail": "decaying"}
+
+
 def test_dinf_clt_dichotomy():
     for spec in ("uniform", "bernoulli_sym",
                  {"kind": "power_density", "params": {"d": 1}},
