@@ -89,30 +89,23 @@ def _parse_grid(text: str) -> GridConfig:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _list_of(convert, what: str, example: str, positive: bool = False):
-    """An argparse type for a non-empty comma-separated list of `what`,
-    each read by convert; with positive, each must also be positive and
-    finite.  Empty items are skipped."""
-    def parse(text: str) -> list:
+def _values(convert, what: str, ok=lambda v: True, many=False):
+    """An argparse type for `what`: one value read by convert or, with
+    many, a non-empty comma-separated list of them (empty items are
+    skipped), each passing ok."""
+    def parse(text: str):
         try:
-            vals = [convert(v) for v in text.split(",") if v]
+            vals = [convert(v) for v in (text.split(",") if many else [text]) if v]
         except ValueError:
             vals = []
-        if not vals or positive and not all(0 < v < math.inf for v in vals):
-            raise argparse.ArgumentTypeError(
-                f"expected comma-separated {what}, e.g. {example}; got {text!r}")
-        return vals
+        if not vals or not all(map(ok, vals)):
+            raise argparse.ArgumentTypeError(f"expected {what}; got {text!r}")
+        return vals if many else vals[0]
     return parse
 
 
-def _parse_order(text: str) -> int:
-    try:
-        m = int(text)
-    except ValueError:
-        m = 0
-    if m < 3:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 3; got {text!r}")
-    return m
+def _order_ok(alpha: float) -> bool:
+    return not alpha <= 0  # inf passes, and NaN, which the divergences refuse (exit 1)
 
 
 def _emit(rows, header, args):
@@ -308,40 +301,46 @@ def build_parser() -> _Parser:
 
     d = sp.add_parser("dist", help="divergences of Z_n from the standard normal")
     d.add_argument("--model", required=True)
-    d.add_argument("--alpha", type=_list_of(float, "numbers", "1,2,inf"), default="2",
-                   help="comma-separated orders; 1 means KL, inf allowed")
-    d.add_argument("--n", type=int, default=1)
+    d.add_argument("--alpha", type=_values(float, "comma-separated positive numbers, e.g. "
+                                           "1,2,inf", _order_ok, many=True),
+                   default="2", help="comma-separated orders; 1 means KL, inf allowed")
+    d.add_argument("--n", type=_values(int, "a positive integer", lambda n: n > 0), default=1)
     _add_common(d, grid=True)
     d.set_defaults(fn=_cmd_dist)
 
     r = sp.add_parser("rate", help="distance decay over a list of n")
     r.add_argument("--model", required=True)
     r.add_argument("--distance", default="chi2", choices=list(_ORDERS))
-    r.add_argument("--alpha-value", type=float, default=2.0)
-    r.add_argument("--n", type=_list_of(int, "integers", "16,32,64"), default="16,32,64",
-                   help="comma-separated, strictly increasing")
+    r.add_argument("--alpha-value", type=_values(float, "a positive number", _order_ok),
+                   default=2.0)
+    r.add_argument("--n", type=_values(int, "comma-separated positive integers, e.g. 16,32,64",
+                                       lambda n: n > 0, many=True),
+                   default="16,32,64", help="comma-separated, strictly increasing")
     _add_common(r, grid=True)
     r.set_defaults(fn=_cmd_rate)
 
     h = sp.add_parser("hermite", help="normal moments c_k = E H_k(X)")
     h.add_argument("--model", required=True)
-    h.add_argument("--k", type=int, default=40)
+    h.add_argument("--k", type=_values(int, "a non-negative integer", lambda k: k >= 0),
+                   default=40)
     _add_common(h)
     h.set_defaults(fn=_cmd_hermite)
 
     e = sp.add_parser("edgeworth", help="correction polynomial coefficients")
     source = e.add_mutually_exclusive_group(required=True)
     source.add_argument("--model")
-    source.add_argument("--gammas", type=_list_of(float, "numbers", "0,1,0.6"),
+    source.add_argument("--gammas", type=_values(float, "comma-separated numbers, e.g. 0,1,0.6",
+                                                 many=True),
                         help="comma-separated cumulants gamma_1,...")
-    e.add_argument("--m", type=_parse_order, default=4,
-                   help="expansion order, at least 3 (emits q_1..q_{m-2})")
+    e.add_argument("--m", type=_values(int, "an integer of at least 3", lambda m: m >= 3),
+                   default=4, help="expansion order, at least 3 (emits q_1..q_{m-2})")
     _add_common(e)
     e.set_defaults(fn=_cmd_edgeworth)
 
     cs = sp.add_parser("check-subgauss", help="strict subgaussianity checker")
     cs.add_argument("--model", required=True)
-    cs.add_argument("--t0", type=_list_of(float, "positive finite numbers", "0.5,1,2", True),
+    cs.add_argument("--t0", type=_values(float, "comma-separated positive finite numbers, "
+                                         "e.g. 0.5,1,2", lambda t: 0 < t < math.inf, many=True),
                     default=None, help="also run the separation check at these t0")
     cs.set_defaults(fn=lambda a: _check_report(a, "subgauss"))
 

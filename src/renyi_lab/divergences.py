@@ -132,9 +132,8 @@ def _pair_support(p: GridDensity, q: GridDensity) -> _Support:
     """The support of p against q, kept on p for the last q it was paired
     with.  The pair is matched by identity, as `GridDensity.log_values`
     is; the slot holds q only through a weak reference, so neither
-    density lives longer for it, and a thread that races another on the
-    same pair at worst builds the same support twice.  A pair on different
-    grids raises ValueError."""
+    density lives longer for it.  A pair on different grids raises
+    ValueError."""
     _same_grid(p, q)
     slot = vars(p).get(_PAIR_SLOT)
     if slot is not None and slot[0]() is q:

@@ -15,7 +15,8 @@ class AliasingError(LabError):
 
 class ChainTooLongError(LabError):
     """A convolution chain would exceed the array-length cap; refused
-    before any transform runs."""
+    before any transform runs, or, when a declined halving leaves an
+    array longer than planned, before the transform that would."""
 
 
 class TailDominanceError(LabError):

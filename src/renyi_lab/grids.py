@@ -40,7 +40,7 @@ coefficients only where it is evaluated.  The module imports no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator
 
@@ -240,8 +240,7 @@ def _fftsquare(held: list) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _UniformCubic:
-    """The cubic spline with nodes x0 + i h, node values y and node slopes
-    s, or its derivative of order nu.
+    """The cubic spline with nodes x0 + i h, node values y and node slopes s.
 
     A piece's coefficients are formed when a point asks for it, by
     scipy's CubicSpline arithmetic, and summed as scipy's PPoly sums
@@ -254,7 +253,6 @@ class _UniformCubic:
     h: float
     y: np.ndarray
     s: np.ndarray
-    nu: int = 0
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -268,17 +266,11 @@ class _UniformCubic:
         slope = (y[i + 1] - y[i]) / h
         hc3 = (s[i] + s[i + 1] - 2 * slope) / h  # h times the cubic coefficient
         coefs = (hc3 / h, (slope - s[i]) / h - hc3, s[i], y[i])
-        coefs = [c * float(math.perm(3 - k, self.nu)) for k, c in enumerate(coefs[:4 - self.nu])]
         out, power = coefs[-1], 1.0
         for c in coefs[-2::-1]:
             power = power * ds
             out = out + c * power
         return out.reshape(t.shape)
-
-    def derivative(self, nu: int = 1) -> "_UniformCubic":
-        if not 1 <= nu <= 3 - self.nu:
-            raise ValueError(f"derivative order must lie in [1, {3 - self.nu}]")
-        return replace(self, nu=self.nu + nu)
 
 
 def _uniform_solve(g: np.ndarray) -> np.ndarray:

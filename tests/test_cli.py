@@ -267,6 +267,13 @@ def test_rate_bad_n_exits_3(capsys):
     (["edgeworth", "--gammas", "abc"], "--gammas"),
     (["rate", "--model", "uniform", "--n", ","], "--n"),
     (["rate", "--model", "uniform", "--n", "abc"], "--n"),
+    (["dist", "--model", "uniform", "--n", "0"], "--n"),
+    (["dist", "--model", "uniform", "--n", "-2"], "--n"),
+    (["rate", "--model", "uniform", "--n", "0,4"], "--n"),
+    (["dist", "--model", "uniform", "--alpha", "-1"], "--alpha"),
+    (["dist", "--model", "uniform", "--alpha", "0"], "--alpha"),
+    (["rate", "--model", "uniform", "--alpha-value", "-1"], "--alpha-value"),
+    (["hermite", "--model", "uniform", "--k", "-1"], "--k"),
 ])
 def test_bad_list_or_order_exits_3_naming_the_flag(capsys, argv, flag):
     # refused by the parser, with a message that says what the flag takes
@@ -301,10 +308,8 @@ def test_hermite_output(capsys):
     assert all(abs(v) < 1e-10 for v in vals[1:4])  # c_1..c_3 vanish
 
 
-def test_hermite_negative_order_exits_1(capsys):
-    code, out, err = run(capsys, "hermite", "--model", "uniform", "--k", "-1")
-    assert code == 1 and out == ""
-    assert err.startswith("renyi-lab: error:") and len(err.splitlines()) == 1, err
+def test_hermite_order_zero_is_c0_alone(capsys):
+    # a negative order is refused by the parser (the flag cases above)
     code, out, _ = run(capsys, "hermite", "--model", "uniform", "--k", "0")
     assert code == 0 and out == "k,c_k\r\n0,1\r\n"
 

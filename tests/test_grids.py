@@ -253,17 +253,14 @@ _SIZES = st.one_of(st.integers(4, 300), st.sampled_from(
     [255, 256, 257, 4099, 1 << 14, (1 << 14) + 66, 1 << 17]))
 
 
-def _assert_spline_close(ours, ref, t, u, orders):
-    """Each derivative order of the spline through y at x0 + i h, taken at
-    t, within 1e-13 of scipy's through y at i, taken at t's offset u from
-    x0 in steps and scaled by h^-nu, relative to its largest magnitude;
-    NaN exactly where scipy gives NaN."""
-    for nu in orders:
-        r = (ref.derivative(nu) if nu else ref)(u) * ours.h ** -nu
-        o = (ours.derivative(nu) if nu else ours)(t)
-        nan = np.isnan(r)
-        assert np.array_equal(np.isnan(o), nan), nu
-        assert np.max(np.abs(o[~nan] - r[~nan])) <= 1e-13 * np.max(np.abs(r[~nan])), nu
+def _assert_spline_close(ours, ref, t, u):
+    """The spline through y at x0 + i h, taken at t, within 1e-13 of
+    scipy's through y at i, taken at t's offset u from x0 in steps,
+    relative to its largest magnitude; NaN exactly where scipy gives NaN."""
+    r, o = ref(u), ours(t)
+    nan = np.isnan(r)
+    assert np.array_equal(np.isnan(o), nan)
+    assert np.max(np.abs(o[~nan] - r[~nan])) <= 1e-13 * np.max(np.abs(r[~nan]))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -278,11 +275,9 @@ def test_spline_matches_scipy_cubic_spline(n, k, start, seed):
     out = rng.uniform(x[0] - 10.0 * h, x[-1] + 10.0 * h, 50)
     t = np.concatenate([out, x, 0.5 * (x[1:] + x[:-1]), [np.nan]])
     ours = grids._spline(x[0], h, y)
-    _assert_spline_close(ours, CubicSpline(np.arange(n), y), t, (t - x[0]) / h, (0, 1, 2))
-    for nu in (0, 1, 2):
-        o = ours.derivative(nu) if nu else ours
-        scalar = o(float(t[0]))
-        assert scalar.shape == () and scalar == o(t[:1])[0], nu
+    _assert_spline_close(ours, CubicSpline(np.arange(n), y), t, (t - x[0]) / h)
+    scalar = ours(float(t[0]))
+    assert scalar.shape == () and scalar == ours(t[:1])[0]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -302,8 +297,7 @@ def test_spline_solve_matches_scipy_on_zero_runs_and_decimal_steps(n, seed, dyad
     t = x0 + h * np.concatenate([np.arange(n), np.arange(n - 1) + 0.5])  # nodes, midpoints
     piece = np.concatenate([np.arange(n - 1), [n - 2], np.arange(n - 1)])
     offsets = piece + (t - (x0 + h * piece)) / h
-    _assert_spline_close(grids._spline(x0, h, y), CubicSpline(np.arange(n), y), t, offsets,
-                         (0, 1))
+    _assert_spline_close(grids._spline(x0, h, y), CubicSpline(np.arange(n), y), t, offsets)
 
 
 # x is the node layout (x0, h) of the values y
