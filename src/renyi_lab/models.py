@@ -4,7 +4,9 @@ Each constructor returns an AnalyticModel carrying a density (when one
 exists), a closed-form log-Laplace transform where available, known
 cumulants, and tail metadata used by the profile-based checkers.
 All continuous members are standardized (mean 0, variance 1) except
-power_density, which keeps its natural variance 2d+1.
+power_density, which keeps its natural variance 2d+1.  The normal, the
+Gaussian scale mixtures and bernoulli_gauss take their density, CDF and
+log-Laplace from one finite-normal-mixture core, `_normal_mixture`.
 """
 
 from __future__ import annotations
@@ -119,17 +121,40 @@ def _log_cosh(u):
     return u + np.log1p(np.exp(-2.0 * u)) - math.log(2.0)
 
 
+def _normal_mixture(name, atoms, **fields) -> AnalyticModel:
+    """The AnalyticModel of sum_i w_i N(mu_i, s2_i) over atoms (w, mu, s2).
+
+    Density and CDF round as the closed forms written out term by term do
+    (x - (-m) is x + m, a two-term sum is w1 A + w2 B, np.sqrt(s2) is
+    math.sqrt's), so the grids the convolution chains start from keep
+    their bits.  K is one logsumexp over the atoms.
+    """
+    ws, mus, s2s = (np.asarray(col, dtype=float) for col in zip(*atoms))
+    sds = np.sqrt(s2s)
+
+    def density(x):
+        x = np.asarray(x, dtype=float)
+        return np.sum(ws * _phi(x[..., None] - mus, s2s), axis=-1)
+
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        return np.sum(ws * _ndtr((x[..., None] - mus) / sds), axis=-1)
+
+    def log_laplace(t):
+        t = np.asarray(t, dtype=float)
+        expo = np.multiply.outer(t, mus) + 0.5 * np.multiply.outer(t * t, s2s)
+        peak = expo.max(axis=-1, keepdims=True)
+        return np.squeeze(peak, -1) + np.log(np.sum(ws * np.exp(expo - peak), axis=-1))
+
+    return AnalyticModel(name, density=density, cdf=cdf, log_laplace=log_laplace, **fields)
+
+
 def normal_model(sigma2: float = 1.0) -> AnalyticModel:
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    s = math.sqrt(sigma2)
-    return AnalyticModel(
-        name=f"normal(sigma2={sigma2:g})",
-        density=lambda x: _phi(x, sigma2),
-        cdf=lambda x: _ndtr(np.asarray(x, dtype=float) / s),
-        log_laplace=lambda t: 0.5 * sigma2 * np.asarray(t, dtype=float) ** 2,
-        cumulants=(0.0, sigma2),
-        meta={"psi_tail": "constant" if sigma2 == 1.0 else "unknown"})
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError("sigma2 must be positive and finite")
+    return _normal_mixture(f"normal(sigma2={sigma2:g})", [(1.0, 0.0, sigma2)],
+                           cumulants=(0.0, sigma2),
+                           meta={"psi_tail": "constant" if sigma2 == 1.0 else "unknown"})
 
 
 def uniform_model() -> AnalyticModel:
@@ -205,8 +230,8 @@ def bernoulli_asym_model(p: float) -> AnalyticModel:
 def bernoulli_sum_model(weights) -> AnalyticModel:
     """sum_k w_k xi_k with independent symmetric Bernoulli xi_k; profile-only."""
     w = np.asarray(list(weights), dtype=float)
-    if w.size == 0:
-        raise ValueError("need at least one weight")
+    if w.size == 0 or not np.isfinite(w).all():
+        raise ValueError("need at least one weight, all finite")
     var = float(np.sum(w * w))
     return AnalyticModel(
         name=f"bernoulli_sum({w.size} weights)",
@@ -217,6 +242,22 @@ def bernoulli_sum_model(weights) -> AnalyticModel:
         meta={"psi_tail": "decaying"})
 
 
+def _mixing_atoms(atoms) -> list:
+    """Atoms [(w, s2), ...] of a mixing law on s2, weights divided by
+    their sum: at least one atom, positive weights with a finite sum,
+    and every s2 in (0, 2)."""
+    try:
+        at = [(float(w), float(s2)) for w, s2 in atoms]
+    except (TypeError, ValueError):
+        raise ValueError("mixing atoms must be pairs [weight, s2]") from None
+    total = sum(w for w, _ in at)
+    if not (all(w > 0.0 for w, _ in at) and 0.0 < total < math.inf):
+        raise ValueError("need mixing atoms with positive weights of finite sum")
+    if any(not 0.0 < s2 < 2.0 for _, s2 in at):
+        raise ValueError("mixing support must lie in (0, 2)")
+    return [(w / total, s2) for w, s2 in at]
+
+
 def gauss_scale_mixture_model(atoms=None, kappa=None, upper=1.0) -> AnalyticModel:
     """Mixture of N(0, s2) over a mixing law on s2.
 
@@ -225,11 +266,9 @@ def gauss_scale_mixture_model(atoms=None, kappa=None, upper=1.0) -> AnalyticMode
     Gauss-Legendre on eight subintervals.
     """
     if atoms is not None:
-        at = [(float(w), float(s2)) for w, s2 in atoms]
-        total = sum(w for w, _ in at)
-        at = [(w / total, s2) for w, s2 in at]
+        at = _mixing_atoms(atoms)
     elif kappa is not None:
-        if kappa <= 0 or not 0.0 < upper < 2.0:
+        if not (kappa > 0 and 0.0 < upper < 2.0):
             raise ValueError("need kappa > 0 and upper in (0, 2)")
         from numpy.polynomial.legendre import leggauss
         nodes, wts = leggauss(64)
@@ -240,44 +279,23 @@ def gauss_scale_mixture_model(atoms=None, kappa=None, upper=1.0) -> AnalyticMode
             for z, w in zip(nodes, wts):
                 s2 = mid + half * z
                 at.append((w * half * kappa * s2 ** (kappa - 1.0) / upper ** kappa, s2))
-        total = sum(w for w, _ in at)
-        at = [(w / total, s2) for w, s2 in at]
+        at = _mixing_atoms(at)
     else:
         raise ValueError("specify atoms or kappa")
-    if any(s2 <= 0 or s2 >= 2.0 for _, s2 in at):
-        raise ValueError("mixing support must lie in (0, 2)")
     v = sum(w * s2 for w, s2 in at)
     m = sum(w * s2 * s2 for w, s2 in at)
-    ws = np.asarray([w for w, _ in at])
-    s2s = np.asarray([s2 for _, s2 in at])
-
-    def density(x):
-        x = np.asarray(x, dtype=float)
-        return np.sum(ws * _phi(x[..., None], s2s), axis=-1)
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.sum(ws * _ndtr(x[..., None] / np.sqrt(s2s)), axis=-1)
-
-    def log_laplace(t):
-        t = np.asarray(t, dtype=float)
-        expo = 0.5 * np.multiply.outer(t * t, s2s)
-        peak = expo.max(axis=-1, keepdims=True)
-        return np.squeeze(peak, -1) + np.log(np.sum(ws * np.exp(expo - peak), axis=-1))
-
     s2max = max(s2 for _, s2 in at)
     tail = "decaying" if s2max < 1.0 else ("growing" if s2max > 1.0 else "unknown")
-    return AnalyticModel(
-        name="gauss_scale_mixture",
-        density=density, cdf=cdf, log_laplace=log_laplace,
+    return _normal_mixture(
+        "gauss_scale_mixture", [(w, 0.0, s2) for w, s2 in at],
         cumulants=(0.0, v, 0.0, 3.0 * (m - v * v)),
         meta={"psi_tail": tail, "fourth_mixing_moment": m})
 
 
 def power_density_model(d: int = 1) -> AnalyticModel:
     """Density x^(2d) phi(x) / (2d-1)!!; variance 2d+1, strictly subgaussian."""
-    if d not in (1, 2, 3):
-        raise ValueError("d must be 1, 2, or 3")
+    if not isinstance(d, int) or d not in (1, 2, 3):
+        raise ValueError("d must be the integer 1, 2, or 3")
     df = float(math.prod(range(2 * d - 1, 0, -2)))  # (2d-1)!!
     # E (Z+t)^(2d) as a polynomial in t
     poly = np.zeros(2 * d + 1)
@@ -327,26 +345,13 @@ def bernoulli_gauss_construct(p: float, beta: float) -> AnalyticModel:
             f"{beta * p * q:.6g}")
     a = math.sqrt((beta - 1.0) / (sg - p * q))
     b2 = (sg - beta * p * q) / (sg - p * q)
-    b = math.sqrt(b2)
-    base = bernoulli_log_laplace(p)
     t0 = -2.0 * (math.log(p) - math.log(q))
-
-    def density(x):
-        x = np.asarray(x, dtype=float)
-        return p * _phi(x - a * q, b2) + q * _phi(x + a * p, b2)
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        return p * _ndtr((x - a * q) / b) + q * _ndtr((x + a * p) / b)
-
     g3 = a ** 3 * p * q * (q - p)
     g4 = a ** 4 * p * q * (1.0 - 6.0 * p * q)
-    return AnalyticModel(
-        name=f"bernoulli_gauss(p={p:g},beta={beta:g})",
-        density=density, cdf=cdf,
-        log_laplace=lambda t: base(a * np.asarray(t, dtype=float)) + 0.5 * b2 * np.asarray(t, dtype=float) ** 2,
+    return _normal_mixture(
+        f"bernoulli_gauss(p={p:g},beta={beta:g})", [(p, a * q, b2), (q, -(a * p), b2)],
         cumulants=(0.0, 1.0, g3, g4),
-        meta={"psi_tail": "decaying", "a": a, "b": b, "beta": beta,
+        meta={"psi_tail": "decaying", "a": a, "b": math.sqrt(b2), "beta": beta,
               "t0": t0, "t_star": t0 / a})
 
 
@@ -381,8 +386,8 @@ class TrigPolynomial:
         """P(0) = P'(0) = P''(0) = 0, the constraints that make
         psi = 1 - c P a valid perturbation of the normal law."""
         scale = self.scale
-        if scale == 0.0:
-            raise ValueError("empty trigonometric component")
+        if not 0.0 < scale < math.inf:
+            raise ValueError("the trigonometric component needs finite coefficients, not all 0")
         if abs(self.a0 + sum(self.a)) > 1e-12 * scale:
             raise ConstraintError("moment constraints violated: P(0) != 0")
         if abs(sum(k * bk for k, bk in enumerate(self.b, 1))) > 1e-12 * scale:
@@ -500,7 +505,9 @@ def _trig_core(name, a0, a, b, c=None):
     c_max = 1.0 / q_max
     if c is None:
         c = 0.5 * c_max
-    if c <= 0 or c > c_max * (1.0 + 1e-12):
+    if not c > 0:
+        raise ValueError(f"c must be positive, not {c:g}")
+    if c > c_max * (1.0 + 1e-12):
         raise ConstraintError(
             f"density not nonnegative: c = {c:g} exceeds c_max = {c_max:.6g}")
 
@@ -531,8 +538,8 @@ def trig_periodic_model(a, b=(), a0=None, c=None) -> AnalyticModel:
 def sin_power_coefficients(m: int):
     """Cosine coefficients of sin^m t for even m: returns (a0, a) with
     sin^m t = a0 + sum_j a[2j-1] cos(2jt) (odd-index entries are zero)."""
-    if m < 2 or m % 2:
-        raise ValueError("m must be even and at least 2")
+    if not isinstance(m, int) or m < 2 or m % 2:
+        raise ValueError("m must be an even integer, at least 2")
     a0 = math.comb(m, m // 2) / 2.0 ** m
     a = [0.0] * m
     for j in range(1, m // 2 + 1):
@@ -603,16 +610,6 @@ def mixture_chi2(pi_spec) -> float:
     1 + chi^2 = E (xi + eta - xi eta)^{-1/2} over independent xi, eta ~ pi."""
     if isinstance(pi_spec, dict) and "atoms" not in pi_spec:
         raise ValueError("mixing law must be given as atoms [[w, s2], ...]")
-    atoms = pi_spec["atoms"] if isinstance(pi_spec, dict) else pi_spec
-    at = [(float(w), float(s2)) for w, s2 in atoms]
-    total = sum(w for w, _ in at)
-    if any(not 0.0 < s2 < 2.0 for _, s2 in at):
-        raise ValueError("mixing support must lie in (0, 2)")
-    acc = 0.0
-    for wi, si in at:
-        for wj, sj in at:
-            den = si + sj - si * sj
-            if den <= 0.0:
-                return math.inf
-            acc += wi * wj / math.sqrt(den)
-    return acc / (total * total) - 1.0
+    at = _mixing_atoms(pi_spec["atoms"] if isinstance(pi_spec, dict) else pi_spec)
+    # si + sj - si sj = 1 - (1 - si)(1 - sj) > 0 on (0, 2)
+    return sum(wi * wj / math.sqrt(si + sj - si * sj) for wi, si in at for wj, sj in at) - 1.0

@@ -37,12 +37,13 @@ if TYPE_CHECKING:
 ZERO_TOL = 1e-8          # A(t) <= ZERO_TOL*(1+t^2) marks the approximate zero set
 DERIV_TOL = 1e-4         # |A''| allowed on the zero set
 MARGIN_BAND = 1e-9       # tolerance band for strict subgaussianity margins
+_P_BAND = 1e-12          # P >= -_P_BAND*scale over one period counts as P >= 0
 _FD_H = 0.01
 _T_RANGE = (-40.0, 40.0)  # t range of every profile
 _PROFILE_SAMPLES = 2001  # nodes of the numeric profile over _T_RANGE
 _STRICT_SAMPLES = 4001   # strict-margin scan of the profile's t range
 _SCAN_SAMPLES = 8001     # separation and zero-set scans of the profile's t range
-_PERIOD_SAMPLES = 16384  # zero-set scan of one period of a trig component
+_PERIOD_SAMPLES = 16384  # sign and zero-set scans of one period of a trig component
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,10 @@ def strict_subgauss_check(prof: LogLaplaceProfile) -> CheckReport:
     E X^4 <= 3 sigma^4 (third cumulant zero, fourth cumulant <= 0).
     On a numeric profile a scan margin below the band reads "fails" only
     when a margin at one of the spline's nodes does too, else
-    "inconclusive" with the same witnesses.
+    "inconclusive" with the same witnesses.  For psi = 1 - c P with a
+    trigonometric P and c > 0, A = -log(1 - c P) >= 0 exactly where
+    P >= 0: when the scan passes, the minimum of P over one period
+    decides, on P's own scale, however small c makes A.
     """
     s2 = prof.sigma2
     t = np.linspace(prof.t_min, prof.t_max, _STRICT_SAMPLES)
@@ -196,6 +200,14 @@ def strict_subgauss_check(prof: LogLaplaceProfile) -> CheckReport:
                 verdict = INCONCLUSIVE
         order = np.argsort(margin)
         witnesses = [(float(t[i]), float(margin[i])) for i in order[:5] if bad[i]]
+    elif prof.trig is not None and prof.period:
+        poly = TrigPolynomial(*prof.trig[:3])
+        tp = np.linspace(0.0, prof.period, _PERIOD_SAMPLES)
+        pv = poly(tp)
+        i = int(np.argmin(pv))
+        if pv[i] < -_P_BAND * poly.scale:
+            verdict = FAILS
+            witnesses = [(float(tp[i]), float(-np.log1p(-prof.trig[3] * pv[i])))]
     if abs(g3) > mom_tol * max(1.0, s2 ** 1.5):
         verdict = FAILS
         witnesses.append((0.0, -abs(g3)))
@@ -328,7 +340,7 @@ def periodic_clt_check(p_coeffs, h: float) -> CheckReport:
     scale = poly.scale
     ts = np.linspace(0.0, h, _PERIOD_SAMPLES)
     pv = poly(ts)
-    if float(pv.min()) < -1e-12 * scale:
+    if float(pv.min()) < -_P_BAND * scale:
         raise ConstraintError("P is negative inside the period")
     p2_tol = 1e-8 * (sum(k * k * abs(ak) for k, ak in enumerate(poly.a, start=1))
                      + sum(k * k * abs(bk) for k, bk in enumerate(poly.b, start=1))) + 1e-12

@@ -419,6 +419,33 @@ def test_check_clt_dinf_exit_codes(capsys):
     assert any(abs(t - math.pi / 6.0) < 1e-6 for t in report["zero_set"])
 
 
+BAD_PARAMETERS = {  # id: (kind, params, a phrase the error must contain)
+    "zero-weight": ("gauss_scale_mixture", {"atoms": [[0, 0.5]]}, "positive weights"),
+    "no-atoms": ("gauss_scale_mixture", {"atoms": []}, "need mixing atoms"),
+    "nan-weight": ("gauss_scale_mixture", {"atoms": [[1, 0.5], [math.nan, 0.8]]}, "positive weights"),
+    "negative-weight": ("gauss_scale_mixture", {"atoms": [[-1, 0.5], [2, 0.8]]}, "positive weights"),
+    "atoms-not-pairs": ("gauss_scale_mixture", {"atoms": 5}, "pairs [weight, s2]"),
+    "nan-kappa": ("gauss_scale_mixture", {"kappa": math.nan}, "kappa > 0"),
+    "nan-sigma2": ("normal", {"sigma2": math.nan}, "sigma2 must be positive and finite"),
+    "inf-sigma2": ("normal", {"sigma2": math.inf}, "sigma2 must be positive and finite"),
+    "nan-c": ("sin_power", {"c": math.nan}, "c must be positive"),
+    "float-m": ("sin_power", {"m": 4.0}, "m must be an even integer"),
+    "float-d": ("power_density", {"d": 1.0}, "d must be the integer"),
+    "nan-coefficient": ("trig_periodic", {"a": [math.nan, -1.0]}, "finite coefficients"),
+    "nan-weight-sum": ("bernoulli_sum", {"weights": [1.0, math.nan]}, "all finite"),
+}
+
+
+@pytest.mark.parametrize("kind, params, phrase", BAD_PARAMETERS.values(), ids=BAD_PARAMETERS)
+def test_bad_model_parameters_are_one_error_line(capsys, kind, params, phrase):
+    spec = json.dumps({"kind": kind, "params": params})
+    for argv in (["zoo", "--model", spec], ["dist", "--model", spec, "--n", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("renyi-lab: error: ") and err.count("\n") == 1, err
+        assert phrase in err, err
+
+
 def test_zoo_without_model_exits_3(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["zoo", "describe"])

@@ -9,9 +9,9 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, roots_legendre
 
-from renyi_lab import (ConstraintError, ModelSpec, MODEL_DOCS, gaussian_grid,
-                       make_model, mixture_chi2, pearson_vajda,
-                       sin_power_coefficients)
+from renyi_lab import (ConstraintError, ModelSpec, MODEL_DOCS, bernoulli_log_laplace,
+                       bernoulli_subgauss_constant, gaussian_grid, make_model,
+                       mixture_chi2, pearson_vajda, sin_power_coefficients)
 from renyi_lab import models
 from renyi_lab.models import TrigPolynomial, minimize_bounded
 from conftest import model_of, pn_of, same_bits
@@ -121,6 +121,55 @@ def test_bernoulli_gauss_tangency():
     assert np.all(gaps[away] > 0.0)
 
 
+def _legendre_atoms(kappa, upper, rule=np.polynomial.legendre.leggauss):
+    """The kappa mixture's atoms (weight, s2), before normalization."""
+    nodes, wts = rule(64)
+    at = []
+    for j in range(8):
+        lo, hi = upper * j / 8.0, upper * (j + 1) / 8.0
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        at += [(w * half * kappa * (mid + half * z) ** (kappa - 1.0) / upper ** kappa,
+                mid + half * z) for z, w in zip(nodes, wts)]
+    return at
+
+
+def test_normal_mixtures_keep_the_closed_form_bits():
+    # every chain starts from these values, so the mixture core must give
+    # the closed forms written out term by term, bit for bit
+    phi, ndtr_ = models._phi, models._ndtr
+    x = np.concatenate([np.linspace(-40.0, 40.0, 4001), np.linspace(-12.0, 12.0, 2049),
+                        [-0.0, 1e-300, -37.5]])
+    t = np.linspace(-40.0, 40.0, 8001)
+    cases = []
+    for s2 in (1.0, 0.7):
+        cases.append(({"kind": "normal", "params": {"sigma2": s2}},
+                      phi(x, s2), ndtr_(x / math.sqrt(s2))))
+    for params, at in (({"atoms": [[0.5, 0.6], [0.5, 1.4]]}, [(0.5, 0.6), (0.5, 1.4)]),
+                       ({"kappa": 1.5, "upper": 1.0}, _legendre_atoms(1.5, 1.0))):
+        total = sum(w for w, _ in at)
+        ws = np.array([w / total for w, _ in at])
+        s2s = np.array([s2 for _, s2 in at])
+        cases.append(({"kind": "gauss_scale_mixture", "params": params},
+                      np.sum(ws * phi(x[:, None], s2s), axis=-1),
+                      np.sum(ws * ndtr_(x[:, None] / np.sqrt(s2s)), axis=-1)))
+    for p, beta in ((0.2, 1.127), (0.3, 1.05)):
+        q, sg = 1.0 - p, bernoulli_subgauss_constant(p)
+        a = math.sqrt((beta - 1.0) / (sg - p * q))
+        b2 = (sg - beta * p * q) / (sg - p * q)
+        b = math.sqrt(b2)
+        spec = {"kind": "bernoulli_gauss", "params": {"p": p, "beta": beta}}
+        cases.append((spec, p * phi(x - a * q, b2) + q * phi(x + a * p, b2),
+                      p * ndtr_((x - a * q) / b) + q * ndtr_((x + a * p) / b)))
+        # K is one logsumexp over the two atoms, within round-off of the
+        # Bernoulli transform at a t plus the Gaussian b^2 t^2 / 2
+        bern = bernoulli_log_laplace(p)(a * t) + 0.5 * b2 * t ** 2
+        assert np.all(np.abs(make_model(spec).log_laplace(t) - bern) <= 1e-13 * np.abs(bern))
+    for spec, density, cdf in cases:
+        model = make_model(spec)
+        assert same_bits(model.density(x), density), spec
+        assert same_bits(model.cdf(x), cdf), spec
+
+
 def test_bernoulli_gauss_infeasible():
     with pytest.raises(ConstraintError):
         model_of({"kind": "bernoulli_gauss", "params": {"p": 0.5, "beta": 1.1}})
@@ -193,6 +242,10 @@ def test_mixture_chi2_examples():
         mixture_chi2([[1.0, 2.0]])
     with pytest.raises(ValueError):
         mixture_chi2({"kappa": 0.5})
+    # the weights are checked as gauss_scale_mixture checks them
+    for atoms in ([[0.0, 0.5]], [], [[1.0, 0.5], [math.nan, 0.8]], [[-1.0, 0.5], [2.0, 0.8]]):
+        with pytest.raises(ValueError, match="mixing"):
+            mixture_chi2(atoms)
 
 
 def test_make_model_names_bad_parameters():
@@ -267,12 +320,7 @@ def test_kappa_mixture_moves_by_the_rule_only():
     # the 64-point Gauss-Legendre rule comes from numpy; scipy's nodes and
     # weights differ from it by ~1e-12, and so does the mixture
     model = model_of({"kind": "gauss_scale_mixture", "params": {"kappa": 1.5, "upper": 1.0}})
-    nodes, wts = roots_legendre(64)
-    at = []
-    for j in range(8):
-        lo, hi = j / 8.0, (j + 1) / 8.0
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        at += [(w * half * 1.5 * (mid + half * z) ** 0.5, mid + half * z) for z, w in zip(nodes, wts)]
+    at = _legendre_atoms(1.5, 1.0, rule=roots_legendre)
     ref = make_model({"kind": "gauss_scale_mixture", "params": {"atoms": at}})
     x = np.linspace(-8.0, 8.0, 161)
     assert np.allclose(model.cdf(x), ref.cdf(x), rtol=1e-11, atol=1e-14)

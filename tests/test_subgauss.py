@@ -73,6 +73,22 @@ def test_strict_subgauss_failures():
         assert report.witnesses and all(m < -MARGIN_BAND for _, m in report.witnesses), d
 
 
+@pytest.mark.parametrize("c", [1e-11, 1e-9, 1e-8])
+def test_strict_subgauss_decides_a_trig_model_from_its_period(c):
+    # P(t) = sin^4 t cos t = cos t/8 - 3 cos 3t/16 + cos 5t/16 has minimum
+    # -16/(25 sqrt 5), and A = -log(1 - cP) < 0 wherever P < 0, however
+    # small c is; its margins here lie inside the scan's band
+    prof = profile(model_of({"kind": "trig_periodic", "params": {
+        "a": [0.125, 0.0, -0.1875, 0.0, 0.0625], "a0": 0.0, "c": c}}))
+    report = strict_subgauss_check(prof)
+    assert report.verdict == "fails"
+    [(t, margin)] = report.witnesses
+    assert 0.0 <= t <= 2.0 * math.pi
+    assert abs(margin / (-c * 16.0 / (25.0 * math.sqrt(5.0))) - 1.0) < 1e-6
+    clt = dinf_clt_check(prof)
+    assert clt.verdict == "inconclusive" and clt.detail["precondition"] == "fails"
+
+
 def test_separation_checks():
     uni = profile(model_of("uniform"))
     assert separation_check(uni, [0.5, 2.0, 10.0]).holds
