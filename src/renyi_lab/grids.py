@@ -81,6 +81,13 @@ _SPLINE_MARGIN = 64
 _R = 2.0 - math.sqrt(3.0)
 _SPLINE_TAPS = (-_R) ** np.abs(np.arange(-40, 41)) / (2.0 * math.sqrt(3.0))
 _SPLINE_END = (-_R) ** np.arange(_SPLINE_MARGIN) / (math.sqrt(3.0) * _R)
+# `_laplace_walk` tilts afresh every _WALK_ANCHOR nodes, so its cells
+# drift from the exact tilt by about 1e-13 of themselves; its fast gate
+# holds the edges against every _WALK_PROBE-th cell at laplace_eval's
+# 1e-12 less 1e-9 of it, a band far wider than the drift
+_WALK_ANCHOR = 32
+_WALK_PROBE = 64
+_WALK_GATE = 1e-12 * (1.0 - 1e-9)
 
 
 def _check_grid(half_width: float, points: int) -> None:
@@ -144,17 +151,20 @@ class GridDensity:
 
 
 @lru_cache(maxsize=4)
-def _samples(model: AnalyticModel, half_width: float, points: int) -> np.ndarray:
+def _samples(density: Callable | None, cdf: Callable | None, half_width: float,
+             points: int) -> np.ndarray:
     """`discretize`'s raw cell averages or midpoint values, read-only.
-    Cached, as every n of a sum starts from the same base and each
-    sampling is a CDF or density pass over the whole grid."""
+    Cached on what is sampled, not on the model, as every n of a sum
+    starts from the same base, a model copied with another log_laplace
+    has the same one, and each sampling is a CDF or density pass over the
+    whole grid."""
     step = 2.0 * half_width / points
-    if model.cdf is not None:
+    if cdf is not None:
         edges = -half_width + step * np.arange(points + 1)
-        vals = np.diff(np.asarray(model.cdf(edges), dtype=float)) / step
+        vals = np.diff(np.asarray(cdf(edges), dtype=float)) / step
     else:
         x = -half_width + step * (np.arange(points) + 0.5)
-        vals = np.array(model.density(x), dtype=float)
+        vals = np.array(density(x), dtype=float)
     vals.flags.writeable = False
     return vals
 
@@ -170,7 +180,7 @@ def discretize(model: AnalyticModel, half_width: float, points: int) -> GridDens
     if model.density is None and model.cdf is None:
         raise ValueError(f"model {model.name!r} has no density")
     step = 2.0 * half_width / points
-    vals = _samples(model, half_width, points)
+    vals = _samples(model.density, model.cdf, half_width, points)
     if np.any(vals < -1e-12 * max(1.0, np.max(np.abs(vals)))):
         raise ValueError(f"model {model.name!r} produced negative density samples")
     vals = np.maximum(vals, 0.0)
@@ -641,17 +651,61 @@ def _tilt(p: GridDensity, t: float):
     return w, peak
 
 
-def laplace_eval(p: GridDensity, t: float) -> float:
-    """E e^{tX} by quadrature, with a decay check at the window edge; the
-    TailDominanceError names the edge that failed it."""
+def _gated_tilt(p: GridDensity, t: float):
+    """`_tilt`'s p e^{tx} and the window edge where it fails the decay
+    gate, an edge cell above 1e-12 of the peak: "left", "right", "both",
+    or None when it passes."""
     w, peak = _tilt(p, t)
     gate = 1e-12 * peak
     if peak > 0 and max(w[0], w[-1]) > gate:
         left, right = bool(w[0] > gate), bool(w[-1] > gate)
-        raise TailDominanceError(
-            f"e^(tx) p(x) not decayed at the boundary for t = {t:g}",
-            edge="both" if left and right else "left" if left else "right")
+        return w, "both" if left and right else "left" if left else "right"
+    return w, None
+
+
+def laplace_eval(p: GridDensity, t: float) -> float:
+    """E e^{tX} by quadrature, with a decay check at the window edge; the
+    TailDominanceError names the edge that failed it."""
+    w, edge = _gated_tilt(p, t)
+    if edge is not None:
+        raise TailDominanceError(f"e^(tx) p(x) not decayed at the boundary for t = {t:g}",
+                                 edge=edge)
     return float(p.step * w.sum())
+
+
+def _laplace_walk(p: GridDensity, ts: np.ndarray) -> Iterator[float]:
+    """`laplace_eval` at ts[1], ts[2], ... in turn, stopping before the
+    first node that fails; ts must be evenly spaced and ts[0] must pass.
+
+    Esscher tilts compose, e^{(t + d) x} p = e^{d x} e^{t x} p, so each
+    node's p e^{tx} is the last one times e^{dx}, one multiply per cell,
+    and every _WALK_ANCHOR nodes it is tilted afresh.  The decay gate
+    first holds the two edge cells against the peak over every
+    _WALK_PROBE-th cell, a lower bound of the peak, at _WALK_GATE; a
+    node that does not pass so is tilted afresh and gated as
+    `laplace_eval` gates it.  Every node thus passes or fails as under
+    `laplace_eval`, and its value is within about 1e-13 of it.
+    """
+    if len(ts) < 2:
+        return
+    w, _ = _tilt(p, float(ts[0]))
+    factor = np.exp(p.x * ((ts[-1] - ts[0]) / (len(ts) - 1)))
+    for j in range(1, len(ts)):
+        passed = False
+        if j % _WALK_ANCHOR:
+            w *= factor
+            bound, total = w[::_WALK_PROBE].max(), w.sum()
+            # the bound argument needs every cell finite and a bound above 0
+            passed = 0 < bound and total < math.inf and max(w[0], w[-1]) <= _WALK_GATE * bound
+        if not passed:
+            try:
+                w, edge = _gated_tilt(p, float(ts[j]))
+            except TailDominanceError:
+                return
+            if edge is not None:
+                return
+            total = w.sum()
+        yield float(p.step * total)
 
 
 def _quantile_table(p: GridDensity):

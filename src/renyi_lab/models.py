@@ -127,7 +127,8 @@ def _normal_mixture(name, atoms, **fields) -> AnalyticModel:
     Density and CDF round as the closed forms written out term by term do
     (x - (-m) is x + m, a two-term sum is w1 A + w2 B, np.sqrt(s2) is
     math.sqrt's), so the grids the convolution chains start from keep
-    their bits.  K is one logsumexp over the atoms.
+    their bits.  K is one logsumexp over the atoms; where t * t
+    overflows, or t is infinite, every s2 > 0 makes it +inf.
     """
     ws, mus, s2s = (np.asarray(col, dtype=float) for col in zip(*atoms))
     sds = np.sqrt(s2s)
@@ -142,9 +143,13 @@ def _normal_mixture(name, atoms, **fields) -> AnalyticModel:
 
     def log_laplace(t):
         t = np.asarray(t, dtype=float)
-        expo = np.multiply.outer(t, mus) + 0.5 * np.multiply.outer(t * t, s2s)
-        peak = expo.max(axis=-1, keepdims=True)
-        return np.squeeze(peak, -1) + np.log(np.sum(ws * np.exp(expo - peak), axis=-1))
+        # an infinite peak makes expo - peak NaN, and an infinite t makes
+        # t * 0 NaN: K is NaN there only, and there it is +inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            expo = np.multiply.outer(t, mus) + 0.5 * np.multiply.outer(t * t, s2s)
+            peak = expo.max(axis=-1, keepdims=True)
+            k = np.squeeze(peak, -1) + np.log(np.sum(ws * np.exp(expo - peak), axis=-1))
+        return np.where(np.isnan(k) & ~np.isnan(t), np.inf, k)[()]
 
     return AnalyticModel(name, density=density, cdf=cdf, log_laplace=log_laplace, **fields)
 
@@ -584,8 +589,23 @@ _CONSTRUCTORS = {
     "counterexample_30_4": counterexample_30_4_model,
 }
 
+
+def _holds_str_or_bool(value) -> bool:
+    """Whether a parameter value holds a string or a boolean anywhere."""
+    if isinstance(value, (str, bool)):
+        return True
+    if isinstance(value, Mapping):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return False
+    return any(_holds_str_or_bool(v) for v in value)
+
+
 def make_model(spec) -> AnalyticModel:
-    """Build a model from a ModelSpec or a {"kind", "params"} mapping."""
+    """Build a model from a ModelSpec or a {"kind", "params"} mapping.
+
+    A parameter given as None (JSON null) takes its default; one that
+    holds a string or a boolean anywhere is refused."""
     if isinstance(spec, dict):
         spec = ModelSpec(spec.get("kind", ""), spec.get("params", {}) or {})
     if spec.kind not in _CONSTRUCTORS:
@@ -599,10 +619,15 @@ def make_model(spec) -> AnalyticModel:
         if name not in params:
             raise ValueError(f"model {spec.kind!r} has no parameter {name!r}; "
                              f"its parameters: {', '.join(params) or 'none'}")
+    given = {name: value for name, value in spec.params.items() if value is not None}
     for name, param in params.items():
-        if param.default is param.empty and name not in spec.params:
+        if param.default is param.empty and name not in given:
             raise ValueError(f"model {spec.kind!r} needs parameter {name!r}")
-    return build(**spec.params)
+    for name, value in given.items():
+        if _holds_str_or_bool(value):
+            raise ValueError(f"model {spec.kind!r}: parameter {name!r} must be numbers, "
+                             "not strings or booleans")
+    return build(**given)
 
 
 def mixture_chi2(pi_spec) -> float:

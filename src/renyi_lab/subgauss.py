@@ -77,30 +77,25 @@ def _fd_second(K, t, h=_FD_H):
 
 
 def _decayed_run(p: GridDensity, ts: np.ndarray):
-    """The run of nodes of ts where `laplace_eval` passes its decay
-    gate, and log E e^{tX} on it (the run is one; see `profile`).
+    """The run of nodes of the evenly spaced ts where `laplace_eval`
+    passes its decay gate, and log E e^{tX} on it (the run is one; see
+    `profile`).
 
     The search starts at the node nearest 0, halves the candidate range
     on the side that a failed edge rules out until one node passes, then
-    widens from it up to the first failure on each side; with 0 inside a
-    decayed range that is one failure per end.
+    widens from it by `_laplace_walk`'s tilt recurrence up to the first
+    failure on each side; with 0 inside a decayed range that is one
+    failure per end.
     """
-    from .grids import laplace_eval
-    ks = {}
+    from .grids import _laplace_walk, laplace_eval
     lo, hi = 0, len(ts) - 1          # the run lies inside ts[lo:hi + 1]
     i = int(np.argmin(np.abs(ts)))
-
-    def failed_edge(j):
-        try:
-            ks[j] = math.log(laplace_eval(p, float(ts[j])))
-        except TailDominanceError as exc:
-            return exc.edge
-        return None
-
     while True:
-        edge = failed_edge(i)
-        if edge is None:
+        try:
+            k = laplace_eval(p, float(ts[i]))
             break
+        except TailDominanceError as exc:
+            edge = exc.edge
         if edge == "right":
             hi = i - 1
         elif edge == "left":
@@ -108,12 +103,10 @@ def _decayed_run(p: GridDensity, ts: np.ndarray):
         if edge == "both" or lo > hi:
             return ts[:0], []
         i = (lo + hi) // 2
-    a = b = i
-    while a > lo and failed_edge(a - 1) is None:
-        a -= 1
-    while b < hi and failed_edge(b + 1) is None:
-        b += 1
-    return ts[a:b + 1], [ks[j] for j in range(a, b + 1)]
+    left = list(_laplace_walk(p, ts[lo:i + 1][::-1]))
+    right = list(_laplace_walk(p, ts[i:hi + 1]))
+    return (ts[i - len(left):i + len(right) + 1],
+            [math.log(k) for k in (*left[::-1], k, *right)])
 
 
 def profile(model: AnalyticModel) -> LogLaplaceProfile:
@@ -123,7 +116,10 @@ def profile(model: AnalyticModel) -> LogLaplaceProfile:
     Otherwise K is tabulated from the grid density at the nodes of
     linspace(_T_RANGE, _PROFILE_SAMPLES) where the tilted integrand
     still decays inside the window, and interpolated by a cubic spline;
-    the profile then spans those nodes and its tail stays "unknown".
+    the profile then spans those nodes and its tail stays "unknown".  The
+    nodes are those that `laplace_eval` passes, and K there is within
+    about 1e-13 of its log: a tilt recurrence, re-anchored every 32
+    nodes, evaluates them (`grids._laplace_walk`).
     Either way K'' is the central difference `_fd_second` of K.
 
     Those nodes form one run.  With w_i = e^{t x_i} p_i, log(w_N / max w)

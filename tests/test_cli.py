@@ -332,6 +332,16 @@ def test_edgeworth_gammas(capsys):
     assert abs(rows[1] + 0.3) < 1e-14
 
 
+def test_edgeworth_from_a_model_reads_its_cumulants(capsys):
+    # uniform's gamma_4 = -6/5 and gamma_6 = 48/7
+    from_model = run(capsys, "edgeworth", "--model", "uniform", "--m", "6")
+    assert from_model[0] == 0 and from_model[1]
+    assert from_model == run(capsys, "edgeworth", "--gammas", "0,1,0,-1.2,0,6.857142857142857",
+                             "--m", "6")
+    code, out, err = run(capsys, "edgeworth", "--model", "normal", "--m", "4")
+    assert (code, out) == (1, "") and "cumulants up to gamma_3 required" in err
+
+
 def test_edgeworth_requires_input(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["edgeworth"])
@@ -417,6 +427,11 @@ def test_check_clt_dinf_exit_codes(capsys):
     assert code == 1
     report = json.loads(out)
     assert any(abs(t - math.pi / 6.0) < 1e-6 for t in report["zero_set"])
+    # psi = 1 identically: the constant tail holds with no zero set to scan
+    code, out, _ = run(capsys, "check-clt-dinf", "--model", "normal")
+    report = json.loads(out)
+    assert (code, report["verdict"], report["detail"]["reason"]) == (0, "holds",
+                                                                     "A identically zero")
 
 
 BAD_PARAMETERS = {  # id: (kind, params, a phrase the error must contain)
@@ -433,6 +448,12 @@ BAD_PARAMETERS = {  # id: (kind, params, a phrase the error must contain)
     "float-d": ("power_density", {"d": 1.0}, "d must be the integer"),
     "nan-coefficient": ("trig_periodic", {"a": [math.nan, -1.0]}, "finite coefficients"),
     "nan-weight-sum": ("bernoulli_sum", {"weights": [1.0, math.nan]}, "all finite"),
+    "string-sigma2": ("normal", {"sigma2": "1"}, "'normal': parameter 'sigma2' must be numbers"),
+    "string-beta": ("bernoulli_gauss", {"p": 0.2, "beta": "1.1"},
+                    "'bernoulli_gauss': parameter 'beta' must be numbers"),
+    "string-atom": ("gauss_scale_mixture", {"atoms": [["0.5", 0.6], [0.5, 1.4]]},
+                    "'gauss_scale_mixture': parameter 'atoms' must be numbers"),
+    "boolean-d": ("power_density", {"d": True}, "'power_density': parameter 'd' must be numbers"),
 }
 
 
@@ -444,6 +465,15 @@ def test_bad_model_parameters_are_one_error_line(capsys, kind, params, phrase):
         assert code == 1 and out == "", argv
         assert err.startswith("renyi-lab: error: ") and err.count("\n") == 1, err
         assert phrase in err, err
+
+
+def test_null_model_parameter_takes_the_default(capsys):
+    _, default, _ = run(capsys, "zoo", "--model", "normal")
+    nulled = json.dumps({"kind": "normal", "params": {"sigma2": None}})
+    assert run(capsys, "zoo", "--model", nulled) == (0, default, "")
+    code, _, err = run(capsys, "zoo", "--model", json.dumps(
+        {"kind": "bernoulli_gauss", "params": {"p": None, "beta": 1.1}}))
+    assert code == 1 and "needs parameter 'p'" in err
 
 
 def test_zoo_without_model_exits_3(capsys):

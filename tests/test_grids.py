@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 import weakref
@@ -100,6 +101,9 @@ def test_each_n_of_a_sum_samples_the_base_once():
     assert same_bits(again.values, fresh.values) and again.values.flags.writeable
     for n in (2, 4):
         normalized_sum_density(model, n, cfg)
+    # a copy with another name and log-Laplace samples the same functions
+    twin = dataclasses.replace(model, name="twin", log_laplace=base.log_laplace)
+    assert same_bits(discretize(twin, cfg.half_width, cfg.points).values, again.values)
     assert len(calls) == 1
     discretize(model, cfg.half_width, 2 * cfg.points)
     assert len(calls) == 2

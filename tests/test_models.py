@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import MappingProxyType
 
 import numpy as np
@@ -168,6 +169,25 @@ def test_normal_mixtures_keep_the_closed_form_bits():
         model = make_model(spec)
         assert same_bits(model.density(x), density), spec
         assert same_bits(model.cdf(x), cdf), spec
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "normal"},
+    {"kind": "normal", "params": {"sigma2": 0.7}},
+    {"kind": "gauss_scale_mixture", "params": {"atoms": [[0.5, 0.6], [0.5, 1.4]]}},
+    {"kind": "gauss_scale_mixture", "params": {"kappa": 1.5, "upper": 1.0}},
+    {"kind": "bernoulli_gauss", "params": {"p": 0.2, "beta": 1.127}},
+], ids=["normal", "normal-0.7", "atoms", "kappa", "bernoulli_gauss"])
+def test_normal_mixture_log_laplace_is_inf_past_the_doubles(spec):
+    # every atom has s2 > 0, so K grows without bound: +inf where t * t
+    # overflows or t is infinite, with no warning; a NaN t stays NaN
+    K = make_model(spec).log_laplace
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = K([math.inf, -math.inf, 1e160, -1e160, math.nan, 40.0])
+        assert K(math.inf) == math.inf and math.isnan(K(math.nan))
+    assert list(k[:4]) == [math.inf] * 4 and math.isnan(k[4])
+    assert same_bits(k[5], K(40.0)) and math.isfinite(k[5])
 
 
 def test_bernoulli_gauss_infeasible():
