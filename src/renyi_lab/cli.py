@@ -30,9 +30,8 @@ if TYPE_CHECKING:
 # thread: `--help` or an unknown command loads no numpy, and `zoo` no divergence.
 
 _EXIT = {HOLDS: 0, FAILS: 1, INCONCLUSIVE: 2}
-# the Renyi order of each rate distance, None for renyi's own alpha;
-# T_alpha ~ (alpha/2) chi^2 for small distances, and T_inf has no
-# expansion constant
+# rate's distances: each is dist's T column at its Renyi order, None
+# for renyi's own --alpha-value
 _ORDERS = {"kl": 1.0, "chi2": 2.0, "renyi": None, "tinf": math.inf}
 
 
@@ -131,10 +130,15 @@ def _emit(rows, header, args):
         sys.stdout.write(text)
 
 
-def _orders(p, q, alpha):
+def _orders(p, q, alpha, chi2=False):
     """D_alpha, T_alpha and the tail bound of p from q; alpha = 1 is KL
-    (D = T) and alpha = inf is D_inf, T_inf."""
-    from .divergences import infinite_order, kl, renyi_tsallis
+    (D = T) and alpha = inf is D_inf, T_inf.  With chi2 (rate's chi2 row),
+    T_2 is chi_2 = int (p - q)^2/q itself, which does not cancel as
+    I_2 - 1 does, and D is not formed."""
+    from .divergences import infinite_order, kl, pearson_vajda_result, renyi_tsallis
+    if chi2:
+        t = pearson_vajda_result(p, q, 2.0)
+        return None, t.value, t.tail_bound
     if alpha == 1.0:
         d = kl(p, q)
         return d, d, 0.0
@@ -156,19 +160,6 @@ def _cmd_dist(args) -> int:
     return 0
 
 
-def _distance_value(p, distance, order):
-    """The rate value and its tail bound for one n of the stream: the
-    chi^2 distance, or T at the given order (KL at 1, T_inf at inf), of
-    p from the standard normal."""
-    from .divergences import pearson_vajda_result
-    from .grids import gaussian_grid
-    q = gaussian_grid(p)
-    if distance == "chi2":
-        chi2 = pearson_vajda_result(p, q, 2.0)
-        return chi2.value, chi2.tail_bound
-    return _orders(p, q, order)[1:]
-
-
 def run_experiment(cfg: ExperimentConfig) -> list:
     """One row per n: value, tail_bound, fitted constant, predicted
     constant, relative gap.
@@ -179,25 +170,25 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     chain serves every n; each n's distance is taken as soon as its
     density is complete, before the pass squares on."""
     from .edgeworth import CumulantVector, expansion_constants, fit_leading_constant
-    from .grids import sum_densities
+    from .grids import gaussian_grid, sum_densities
     from .models import make_model
     model = make_model(cfg.model)
     var = model.variance
     if var is None or not var > 0:
         raise LabError(f"model {model.name!r} has no positive variance to standardize by")
-    sigma = math.sqrt(var)
     order = _ORDERS[cfg.distance] or cfg.alpha
-    results = [_distance_value(p, cfg.distance, order)
-               for p in sum_densities(model, cfg.n_values, cfg.grid, sigma)]
+    results = [_orders(p, gaussian_grid(p), order, cfg.distance == "chi2")[1:]
+               for p in sum_densities(model, cfg.n_values, cfg.grid, math.sqrt(var))]
     values = [v for v, _ in results]
     gam = tuple(c / var ** (k / 2) for k, c in enumerate(model.cumulants or (0.0, var), 1))
-    const = expansion_constants(CumulantVector(gam + (0.0,) * max(0, 4 - len(gam))))
-    g3_zero = const["chi2_c2_valid"]
+    const = expansion_constants(CumulantVector(gam))
+    # T_alpha ~ (alpha/2) chi^2, and n chi^2 -> chi2_c1, or n^2 chi^2 ->
+    # chi2_c2 when gamma_3 = 0; T_inf has no expansion constant
     if math.isinf(order):
         power, predicted = 0.0, math.nan
     else:
-        power = 2.0 if g3_zero else 1.0
-        predicted = 0.5 * order * (const["chi2_c2"] if g3_zero else const["chi2_c1"])
+        power = 2.0 if const["chi2_c2_valid"] else 1.0
+        predicted = 0.5 * order * const["chi2_c2" if power == 2.0 else "chi2_c1"]
     if all(math.isfinite(v) for v in values):
         fitted, _ = fit_leading_constant(cfg.n_values, values, power)
     else:

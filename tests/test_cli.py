@@ -9,7 +9,7 @@ import pytest
 
 from renyi_lab import grids
 from renyi_lab.cli import ExperimentConfig, main, run_experiment
-from renyi_lab.divergences import renyi_tsallis
+from renyi_lab.divergences import infinite_order, kl, pearson_vajda_result, renyi_tsallis
 from renyi_lab.grids import gaussian_grid, normalized_sum_density
 from renyi_lab.models import ModelSpec, make_model
 
@@ -104,15 +104,31 @@ def test_rate_renyi_constant_scales_with_alpha(capsys):
 
 
 def test_rate_renyi_matches_renyi_tsallis_per_n():
-    # each n builds its own (p, q) pair; the supports kept on them for
-    # the order scan must not leak between the ns of one pass
+    # every row of the distance table against its direct computation; each
+    # n builds its own (p, q) pair, and the supports kept on them for the
+    # order scan must not leak between the ns of one pass
     ns = (4, 8, 16, 32)
-    rows = run_experiment(ExperimentConfig(ModelSpec("uniform", {}), "renyi", ns, alpha=3.0))
     uniform = make_model(ModelSpec("uniform", {}))
-    for n, row in zip(ns, rows):
-        p = normalized_sum_density(uniform, n)
-        _, t = renyi_tsallis(p, gaussian_grid(p), 3.0)
-        assert row[:3] == (n, t.value, t.tail_bound)
+    pairs = [(p, gaussian_grid(p)) for p in (normalized_sum_density(uniform, n) for n in ns)]
+
+    def rows(distance, alpha=3.0):
+        return run_experiment(ExperimentConfig(ModelSpec("uniform", {}), distance, ns,
+                                               alpha=alpha))
+
+    def chi2(p, q):
+        t = pearson_vajda_result(p, q, 2.0)
+        return t.value, t.tail_bound
+
+    def renyi3(p, q):
+        t = renyi_tsallis(p, q, 3.0)[1]
+        return t.value, t.tail_bound
+
+    direct = {"kl": lambda p, q: (kl(p, q), 0.0), "chi2": chi2,
+              "renyi": renyi3, "tinf": lambda p, q: (infinite_order(p, q)[1], 0.0)}
+    for distance, value in direct.items():
+        for n, row, pair in zip(ns, rows(distance), pairs):
+            assert row[:3] == (n, *value(*pair)), distance
+    assert rows("renyi", alpha=1.0) == rows("kl")
 
 
 def test_rate_runs_on_the_calling_thread(capsys, monkeypatch):
@@ -150,6 +166,20 @@ def test_experiment_config_refuses_nan_alpha():
     with pytest.raises(ValueError, match="NaN"):
         ExperimentConfig(model=ModelSpec("uniform", {}), distance="renyi",
                          n_values=(2, 4), alpha=math.nan)
+
+
+def test_experiment_config_refuses_an_unknown_distance():
+    with pytest.raises(ValueError, match="unknown distance 'tv'"):
+        ExperimentConfig(ModelSpec("uniform", {}), "tv", (2, 4))
+
+
+def test_rate_reports_an_infinite_renyi_divergence(capsys):
+    # D_4 of the mixture is +inf at every n: alpha >= s^2/(s^2 - 1) = 3.5
+    mixture = '{"kind": "gauss_scale_mixture", "params": {"atoms": [[0.5, 0.6], [0.5, 1.4]]}}'
+    code, out, err = run(capsys, "rate", "--model", mixture, "--distance", "renyi",
+                         "--alpha-value", "4", "--n", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "1,inf,inf,nan,0.0192,nan"
 
 
 def test_rate_refuses_oversized_chain(capsys, monkeypatch):
