@@ -14,7 +14,7 @@ each of its commands imports only the modules it runs."""
 from .errors import (AliasingError, ChainTooLongError, ConstraintError,
                      GridTooNarrowError, LabError, OscillationError,
                      SeriesError, TailDominanceError)
-from .reports import FAILS, HOLDS, INCONCLUSIVE, CheckReport
+from .reports import FAILS, HOLDS, INCONCLUSIVE, CheckReport, DivergenceResult
 
 __version__ = "0.1.0"
 
@@ -26,9 +26,9 @@ def _api() -> dict:
                         gaussian_grid, gaussian_smooth, laplace_eval,
                         moment_summary, normalized_sum_density,
                         pointwise_density_bound_check, sum_densities, wasserstein2)
-    from .divergences import (DivergenceResult, infinite_order, kl, pearson_vajda,
-                              relative_fisher, renyi_tsallis, tv_hellinger)
-    from .hermite import (NormalMomentVector, SeriesValue, chi2_from_normal_moments,
+    from .divergences import (infinite_order, kl, pearson_vajda, relative_fisher,
+                              renyi_tsallis, tv_hellinger)
+    from .hermite import (NormalMomentVector, chi2_from_normal_moments,
                           hermite_coefficients, hermite_eval, normal_moments)
     from .edgeworth import (CumulantVector, EdgeworthPolynomial, edgeworth_density,
                             expansion_constants, fit_leading_constant, q_polynomial,

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import OscillationError
 from .grids import GridDensity
+from .reports import DivergenceResult
 
 _HUGE = 1e290
 _LOG_HUGE = math.log(_HUGE)
@@ -25,16 +25,6 @@ _Q_FLOOR = 1e-300    # reference values at or below it count as q-null in `infin
 _DECAY_REL = 1e-10
 # the GridDensity attribute where renyi_tsallis keeps a pair's support
 _PAIR_SLOT = "_power_ratio_support"
-
-
-@dataclass(frozen=True)
-class DivergenceResult:
-    value: float
-    tail_bound: float = 0.0
-    truncated_at: float = math.inf
-
-    def __float__(self):
-        return float(self.value)
 
 
 def _window_radius(p: GridDensity) -> float:
@@ -162,17 +152,16 @@ def renyi_tsallis(p: GridDensity, q: GridDensity, alpha: float):
     _finite_order(alpha)
     if alpha <= 0 or alpha == 1.0:
         raise ValueError("alpha must be positive and different from 1")
-    cutoff = _window_radius(p)
     g = _power_ratio(_pair_support(p, q), alpha)
     if g is None:
-        res = DivergenceResult(math.inf, math.inf, cutoff)
+        res = DivergenceResult(math.inf, math.inf)
         return res, res
     integral = float(p.step * g.sum())
     tail = _tail_estimate(g, p.step)
     inv = 1.0 / (alpha - 1.0)
     d = DivergenceResult(max(inv * math.log(integral), 0.0),
-                         abs(inv) * tail / max(integral, 1e-300), cutoff)
-    t = DivergenceResult(max(inv * (integral - 1.0), 0.0), abs(inv) * tail, cutoff)
+                         abs(inv) * tail / max(integral, 1e-300))
+    t = DivergenceResult(max(inv * (integral - 1.0), 0.0), abs(inv) * tail)
     return d, t
 
 
@@ -202,11 +191,10 @@ def pearson_vajda_result(p: GridDensity, q: GridDensity, alpha: float) -> Diverg
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
     _same_grid(p, q)
-    cutoff = _window_radius(p)
     g = _power_ratio(_support(np.abs(p.values - q.values), q.values), alpha)
     if g is None:
-        return DivergenceResult(math.inf, math.inf, cutoff)
-    return DivergenceResult(float(p.step * g.sum()), _tail_estimate(g, p.step), cutoff)
+        return DivergenceResult(math.inf, math.inf)
+    return DivergenceResult(float(p.step * g.sum()), _tail_estimate(g, p.step))
 
 
 def pearson_vajda(p: GridDensity, q: GridDensity, alpha: float) -> float:

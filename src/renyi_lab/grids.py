@@ -90,22 +90,28 @@ _WALK_PROBE = 64
 _WALK_GATE = 1e-12 * (1.0 - 1e-9)
 
 
-def _check_grid(half_width: float, points: int) -> None:
-    """Refuse a window that is not positive and finite, or a point count
-    that is not a power of two of at least 16."""
-    if not (math.isfinite(half_width) and half_width > 0):
-        raise ValueError("half_width must be positive and finite")
-    if points < 16 or points & (points - 1):
-        raise ValueError("points must be a power of two, at least 16")
-
-
 @dataclass(frozen=True)
 class GridConfig:
+    """The symmetric window [-half_width, half_width] cut into `points`
+    cells; refuses a window that is not positive and finite, or a point
+    count that is not a power of two of at least 16."""
     half_width: float = 12.0
     points: int = 1 << 14
 
     def __post_init__(self):
-        _check_grid(self.half_width, self.points)
+        if not (math.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError("half_width must be positive and finite")
+        if self.points < 16 or self.points & (self.points - 1):
+            raise ValueError("points must be a power of two, at least 16")
+
+    @property
+    def step(self) -> float:
+        return 2.0 * self.half_width / self.points
+
+    @property
+    def x(self) -> np.ndarray:
+        """The cell midpoints, formed as `GridDensity.x` forms them."""
+        return -self.half_width + self.step * (np.arange(self.points) + 0.5)
 
 
 @dataclass(frozen=True)
@@ -151,44 +157,39 @@ class GridDensity:
 
 
 @lru_cache(maxsize=4)
-def _samples(density: Callable | None, cdf: Callable | None, half_width: float,
-             points: int) -> np.ndarray:
+def _samples(density: Callable | None, cdf: Callable | None, cfg: GridConfig) -> np.ndarray:
     """`discretize`'s raw cell averages or midpoint values, read-only.
     Cached on what is sampled, not on the model, as every n of a sum
     starts from the same base, a model copied with another log_laplace
     has the same one, and each sampling is a CDF or density pass over the
     whole grid."""
-    step = 2.0 * half_width / points
     if cdf is not None:
-        edges = -half_width + step * np.arange(points + 1)
-        vals = np.diff(np.asarray(cdf(edges), dtype=float)) / step
+        edges = -cfg.half_width + cfg.step * np.arange(cfg.points + 1)
+        vals = np.diff(np.asarray(cdf(edges), dtype=float)) / cfg.step
     else:
-        x = -half_width + step * (np.arange(points) + 0.5)
-        vals = np.array(density(x), dtype=float)
+        vals = np.array(density(cfg.x), dtype=float)
     vals.flags.writeable = False
     return vals
 
 
-def discretize(model: AnalyticModel, half_width: float, points: int) -> GridDensity:
-    """Sample a model onto a symmetric midpoint grid and renormalize.
+def discretize(model: AnalyticModel, cfg: GridConfig) -> GridDensity:
+    """Sample a model onto the midpoints of the window cfg and renormalize.
 
     Uses exact cell averages (F(b)-F(a))/step when the model has a
     closed-form CDF, which is what makes densities with jumps (uniform)
     behave; otherwise midpoint sampling.
     """
-    _check_grid(half_width, points)
     if model.density is None and model.cdf is None:
         raise ValueError(f"model {model.name!r} has no density")
-    step = 2.0 * half_width / points
-    vals = _samples(model.density, model.cdf, half_width, points)
+    vals = _samples(model.density, model.cdf, cfg)
     if np.any(vals < -1e-12 * max(1.0, np.max(np.abs(vals)))):
         raise ValueError(f"model {model.name!r} produced negative density samples")
     vals = np.maximum(vals, 0.0)
-    mass = step * vals.sum()
+    mass = cfg.step * vals.sum()
     if mass < 1.0 - 1e-3:
         raise GridTooNarrowError(
             f"grid too narrow for {model.name!r}: mass {mass:.6g} before renormalization")
-    out = GridDensity(-half_width, step, vals / mass,
+    out = GridDensity(-cfg.half_width, cfg.step, vals / mass,
                       meta={"renorm": 1.0 / mass, "mass_deficit": 1.0 - mass,
                             "model": model.name})
     return out
@@ -524,7 +525,7 @@ def sum_densities(model: AnalyticModel, ns: Iterable[int], grid_cfg: GridConfig 
     if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n values must be at least 1 and strictly increasing")
     cfg = grid_cfg or GridConfig()
-    base = discretize(model, cfg.half_width, cfg.points)
+    base = discretize(model, cfg)
     if base.values[0] > ALIAS_TOL or base.values[-1] > ALIAS_TOL:
         raise AliasingError(
             f"density of {model.name!r} not decayed at |x| = {cfg.half_width}; "
@@ -606,9 +607,7 @@ def _resample_sum(acc: GridDensity, n: int, cfg: GridConfig,
                   sigma: float = 1.0) -> GridDensity:
     """Rescale x -> x*sigma*sqrt(n) by cubic resampling onto the requested grid."""
     scale = math.sqrt(n) * sigma
-    step = 2.0 * cfg.half_width / cfg.points
-    y = -cfg.half_width + step * (np.arange(cfg.points) + 0.5)
-    return _floored_density(_spline_at(acc, y * scale) * scale, -cfg.half_width, step)
+    return _floored_density(_spline_at(acc, cfg.x * scale) * scale, -cfg.half_width, cfg.step)
 
 
 def normalized_sum_density(model: AnalyticModel, n: int,
@@ -785,16 +784,13 @@ def gaussian_smooth(p: GridDensity, t: float) -> GridDensity:
     return out
 
 
-def moment_summary(p: GridDensity, order: int = 8) -> MomentSummary:
-    """Raw moments of a grid density up to the given order."""
-    if order < 4:
-        raise ValueError("order must be at least 4")
+def moment_summary(p: GridDensity) -> MomentSummary:
+    """Mean, variance and the third and fourth raw moments of a grid density."""
     x = p.x
     w = p.step * p.values
-    raw = [float(np.sum(w * x ** k)) for k in range(1, order + 1)]
+    raw = [float(np.sum(w * x ** k)) for k in range(1, 5)]
     return MomentSummary(mean=raw[0], variance=raw[1] - raw[0] ** 2,
-                         alpha3=raw[2], alpha4=raw[3],
-                         higher_moments=tuple(raw[4:]))
+                         alpha3=raw[2], alpha4=raw[3])
 
 
 def pointwise_density_bound_check(model: AnalyticModel, n: int, sigma2: float,

@@ -17,10 +17,16 @@ from itertools import islice
 import numpy as np
 
 from .errors import SeriesError, TailDominanceError
+from .reports import DivergenceResult
 from .zoo import AnalyticModel
 
-_MOMENT_GRID_HALF_WIDTH = 20.0
-_MOMENT_GRID_POINTS = 1 << 15
+# half-width and points of the grid that samples a model without compact support
+_MOMENT_GRID = (20.0, 1 << 15)
+# Gauss-Legendre nodes of the compact-support rule are 2 K, at least 64
+# and at most 2 _LEGENDRE_MAX_K: H_k(x) near 0 is about (k - 1)!!, which
+# overflows from k = 302, so no c_k above 301 is finite however many
+# nodes the rule has, and a larger rule only costs O(nodes^2) memory
+_LEGENDRE_MAX_K = 512
 # about this many evenly spaced cells bound the peak of |H_k| p from below
 _PROBES = 256
 
@@ -97,8 +103,9 @@ def normal_moments(p, K: int = 40) -> NormalMomentVector:
     """Normal moments by quadrature.
 
     Compactly supported analytic densities are integrated by
-    Gauss-Legendre on their support, which is exact for polynomial
-    integrands against a polynomial density; other analytic models are
+    Gauss-Legendre on their support, with 2 K nodes (at least 64, at
+    most 2 _LEGENDRE_MAX_K), which is exact for polynomial integrands
+    against a polynomial density; other analytic models are
     sampled at midpoints of a wide window (half_width 20) so that the
     truncation boundary term H_{K-1}(W) phi(W) stays far below 1e-8 up
     to K = 40.  The first non-finite c_k (H_k overflowing at large K)
@@ -118,7 +125,7 @@ def normal_moments(p, K: int = 40) -> NormalMomentVector:
             raise ValueError(f"model {p.name!r} has no density")
         if p.support_radius is not None:
             r = float(p.support_radius)
-            nodes, wts = np.polynomial.legendre.leggauss(max(64, 2 * K))
+            nodes, wts = np.polynomial.legendre.leggauss(max(64, 2 * min(K, _LEGENDRE_MAX_K)))
             x = r * nodes
             wd = wts * np.asarray(p.density(x), dtype=float)
             total = float(r * np.sum(wd))
@@ -128,12 +135,11 @@ def normal_moments(p, K: int = 40) -> NormalMomentVector:
                     cs.append(_finite_moment(k, float(r * np.sum(wd * hk)) / total))
             return NormalMomentVector(tuple(cs))
     # the compact-support quadrature above builds no grid
-    from .grids import GridDensity
+    from .grids import GridConfig, GridDensity
     if isinstance(p, AnalyticModel):
-        step = 2.0 * _MOMENT_GRID_HALF_WIDTH / _MOMENT_GRID_POINTS
-        xg = -_MOMENT_GRID_HALF_WIDTH + step * (np.arange(_MOMENT_GRID_POINTS) + 0.5)
-        vals = np.maximum(np.asarray(p.density(xg), dtype=float), 0.0)
-        p = GridDensity(-_MOMENT_GRID_HALF_WIDTH, step, vals / (step * vals.sum()))
+        cfg = GridConfig(*_MOMENT_GRID)
+        vals = np.maximum(np.asarray(p.density(cfg.x), dtype=float), 0.0)
+        p = GridDensity(-cfg.half_width, cfg.step, vals / (cfg.step * vals.sum()))
     if not isinstance(p, GridDensity):
         raise TypeError("expected a GridDensity or AnalyticModel")
     x, v = p.x, p.values
@@ -167,16 +173,7 @@ def _decayed(hk, v, probe) -> bool:
     return not (peak > 0 and max(integ[0], integ[-1]) > 1e-12 * peak)
 
 
-@dataclass(frozen=True)
-class SeriesValue:
-    value: float
-    tail_bound: float
-
-    def __float__(self):
-        return self.value
-
-
-def chi2_from_normal_moments(c: NormalMomentVector, t: float = 1.0) -> SeriesValue:
+def chi2_from_normal_moments(c: NormalMomentVector, t: float = 1.0) -> DivergenceResult:
     """sum_{k>=1} t^k c_k^2 / k!, the Parseval/heat-flow chi-square.
 
     Terms are formed in log space.  Convergence gate: the per-step
@@ -208,4 +205,4 @@ def chi2_from_normal_moments(c: NormalMomentVector, t: float = 1.0) -> SeriesVal
         if r >= 0.9:
             raise SeriesError("series tail not decreasing; increase K or chi2 infinite")
         tail = 5.0 * m1 * r / (1.0 - r)
-    return SeriesValue(float(sum(terms)), tail)
+    return DivergenceResult(float(sum(terms)), tail)

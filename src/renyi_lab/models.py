@@ -606,9 +606,12 @@ def make_model(spec) -> AnalyticModel:
 
     A parameter given as None (JSON null) takes its default; one that
     holds a string or a boolean anywhere is refused."""
-    if isinstance(spec, dict):
+    if isinstance(spec, Mapping):
         spec = ModelSpec(spec.get("kind", ""), spec.get("params", {}) or {})
-    if spec.kind not in _CONSTRUCTORS:
+    elif not isinstance(spec, ModelSpec):
+        raise ValueError("a model spec is a ModelSpec or a {'kind', 'params'} mapping, "
+                         f"not {type(spec).__name__}")
+    if not isinstance(spec.kind, str) or spec.kind not in _CONSTRUCTORS:
         raise ValueError(f"unknown model kind {spec.kind!r}; "
                          f"available: {', '.join(sorted(_CONSTRUCTORS))}")
     build = _CONSTRUCTORS[spec.kind]

@@ -1,4 +1,5 @@
-"""Verdict records produced by the various checkers."""
+"""The records the library returns: verdicts of the checkers, and a
+value with the bound on its error."""
 
 from __future__ import annotations
 
@@ -13,6 +14,15 @@ def worst(verdicts) -> str:
     """The worst of some verdicts: "fails", then "inconclusive", then
     "holds", which is also the verdict of none at all."""
     return min(verdicts, key=(FAILS, INCONCLUSIVE, HOLDS).index, default=HOLDS)
+
+
+@dataclass(frozen=True)
+class DivergenceResult:
+    """A divergence or series value and its tail_bound, the estimate of
+    what lies beyond the grid window or the last term summed; a
+    divergence whose integrand is not resolved is +inf with bound +inf."""
+    value: float
+    tail_bound: float
 
 
 @dataclass

@@ -48,17 +48,23 @@ _PERIOD_SAMPLES = 16384  # sign and zero-set scans of one period of a trig compo
 
 @dataclass(frozen=True)
 class LogLaplaceProfile:
-    name: str
     K: Callable
-    K2: Callable
     sigma2: float
     t_min: float
     t_max: float
     closed_form: bool
     tail: str = "unknown"            # decaying | periodic | constant | growing | unknown
-    period: Optional[float] = None
     trig: Optional[tuple] = None     # (a0, a, b, c) of the periodic component
     cumulants: Optional[tuple] = None
+
+    @property
+    def period(self) -> Optional[float]:
+        """The period of the trigonometric component; None without one."""
+        return TrigPolynomial(*self.trig[:3]).period if self.trig is not None else None
+
+    def K2(self, t):
+        """K'' as the central difference `_fd_second` of K."""
+        return _fd_second(self.K, np.asarray(t, dtype=float))
 
     def A(self, t):
         t = np.asarray(t, dtype=float)
@@ -136,7 +142,7 @@ def profile(model: AnalyticModel) -> LogLaplaceProfile:
         K, t_min, t_max = model.log_laplace, lo, hi
     else:
         from .grids import GridConfig, _spline, discretize
-        p = discretize(model, GridConfig().half_width, GridConfig().points)
+        p = discretize(model, GridConfig())
         ts, ks = _decayed_run(p, np.linspace(lo, hi, _PROFILE_SAMPLES))
         if len(ts) < 10:
             raise ValueError(f"Laplace transform of {model.name!r} not evaluable on range")
@@ -147,11 +153,9 @@ def profile(model: AnalyticModel) -> LogLaplaceProfile:
         sigma2 = float(_fd_second(K, 0.0))
     meta = model.meta if closed else {}
     return LogLaplaceProfile(
-        name=model.name, K=K,
-        K2=lambda t: _fd_second(K, np.asarray(t, dtype=float)),
-        sigma2=float(sigma2), t_min=t_min, t_max=t_max, closed_form=closed,
-        tail=meta.get("psi_tail", "unknown"), period=meta.get("period"),
-        trig=meta.get("trig"), cumulants=model.cumulants)
+        K=K, sigma2=float(sigma2), t_min=t_min, t_max=t_max, closed_form=closed,
+        tail=meta.get("psi_tail", "unknown"), trig=meta.get("trig"),
+        cumulants=model.cumulants)
 
 
 def _third_fourth_at_zero(K, h=0.05):
@@ -196,7 +200,7 @@ def strict_subgauss_check(prof: LogLaplaceProfile) -> CheckReport:
                 verdict = INCONCLUSIVE
         order = np.argsort(margin)
         witnesses = [(float(t[i]), float(margin[i])) for i in order[:5] if bad[i]]
-    elif prof.trig is not None and prof.period:
+    elif prof.period:
         poly = TrigPolynomial(*prof.trig[:3])
         tp = np.linspace(0.0, prof.period, _PERIOD_SAMPLES)
         pv = poly(tp)
@@ -296,7 +300,7 @@ def dinf_clt_check(prof: LogLaplaceProfile) -> CheckReport:
     if prof.tail == "constant":
         return CheckReport(HOLDS, tolerances=tolerances,
                            detail={"reason": "A identically zero"})
-    if prof.tail == "periodic" and prof.trig is not None and prof.period:
+    if prof.tail == "periodic" and prof.period:
         # the zero set of A repeats with the periodic component P of psi
         # and the condition A'' = 0 there reads P'' = 0 for every
         # admissible c > 0, so judge the coefficients directly (the

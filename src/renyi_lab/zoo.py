@@ -19,7 +19,6 @@ class MomentSummary:
     variance: float
     alpha3: float
     alpha4: float
-    higher_moments: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class AnalyticModel:
     def variance(self) -> Optional[float]:
         if self.cumulants is not None and len(self.cumulants) >= 2:
             return float(self.cumulants[1])
-        return self.meta.get("variance")
+        return None
 
 
 MODEL_DOCS = {

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renyi_lab import (GridDensity, gaussian_grid, gaussian_smooth,
+from renyi_lab import (GridDensity, OscillationError, gaussian_grid, gaussian_smooth,
                        infinite_order, kl, pearson_vajda, relative_fisher,
                        renyi_tsallis, truncated_tsallis, tv_hellinger,
                        wasserstein2)
@@ -92,6 +92,17 @@ def test_infinite_order_transform(normal_grid):
         assert abs(math.exp(dinf) - 1.0 - tinf) < 1e-12 * (1.0 + abs(tinf)), name
 
 
+def test_infinite_order_degenerate_pairs(uniform_grid, normal_grid):
+    # p charges cells where the narrow normal underflows below the floor
+    assert infinite_order(uniform_grid, gaussian_grid(uniform_grid, var=1e-3)) == (
+        math.inf, math.inf)
+    zero = GridDensity(uniform_grid.origin, uniform_grid.step, np.zeros(uniform_grid.n))
+    with pytest.raises(ValueError, match="reference density vanishes on the whole window"):
+        infinite_order(uniform_grid, zero)
+    # sup p/q = 0: D_inf = log 0 and T_inf = -1
+    assert infinite_order(zero, normal_grid) == (-math.inf, -1.0)
+
+
 def test_hellinger_tsallis_half(normal_grid):
     for name, p, q in smooth_zoo(normal_grid):
         tv, h = tv_hellinger(p, q)
@@ -162,6 +173,22 @@ def test_relative_fisher_gaussian(normal_grid):
     assert abs(relative_fisher(p, q) - 0.25) < 1e-6
     p2, _ = _gauss_pair(normal_grid, lam=1.3)
     assert abs(relative_fisher(p2, q) - 0.09 / 1.3) < 1e-6
+
+
+def test_relative_fisher_refusals(normal_grid):
+    q = normal_grid
+    spike = np.zeros(q.n)
+    spike[q.n // 2 - 4:q.n // 2 + 4] = 1.0
+    with pytest.raises(ValueError, match="window too small"):
+        relative_fisher(GridDensity(q.origin, q.step, spike), q)
+    holed = np.where(np.abs(q.x) < 0.5, 0.0, q.values)
+    with pytest.raises(ValueError, match="vanishes inside the window"):
+        relative_fisher(q, GridDensity(q.origin, q.step, holed))
+    # every third cell 20% high: the 2nd- and 4th-order slopes disagree
+    p4 = pn_of("uniform", 4)
+    rough = p4.values * (1.0 + 0.2 * (np.arange(p4.n) % 3 == 0))
+    with pytest.raises(OscillationError):
+        relative_fisher(GridDensity(p4.origin, p4.step, rough), gaussian_grid(p4))
 
 
 def test_de_bruijn(normal_grid):
@@ -242,7 +269,6 @@ def test_pearson_vajda_result_carries_its_tail(normal_grid):
     q = gaussian_grid(p)
     res = pearson_vajda_result(p, q, 2.0)
     assert res.value == pearson_vajda(p, q, 2.0)
-    assert res.truncated_at == _window_radius(p)
     g = (p.values - q.values) ** 2 / q.values
     assert res.tail_bound > 0.0
     assert math.isclose(res.tail_bound, _tail_estimate(g, p.step), rel_tol=1e-12)

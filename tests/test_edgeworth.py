@@ -52,7 +52,7 @@ def test_q_degree_cap():
 def test_cumulant_moment_roundtrip_skewed(skewed_model):
     # the model is standardized: gamma_3 = alpha_3 and gamma_4 = alpha_4 - 3
     p = pn_of({"kind": "bernoulli_gauss", "params": {"p": 0.2, "beta": 1.127}}, 1)
-    m = moment_summary(p, order=4)
+    m = moment_summary(p)
     assert abs(m.alpha3 - skewed_model.cumulants[2]) < 1e-6
     assert abs(m.alpha4 - 3.0 - skewed_model.cumulants[3]) < 1e-5
 

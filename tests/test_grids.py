@@ -31,6 +31,11 @@ def test_grid_geometry(uniform_grid):
     # midpoint grid is exactly symmetric about zero
     assert np.max(np.abs(x + x[::-1])) == 0.0
     assert abs(p.mass - 1.0) < 1e-12
+    # the window's own step and midpoints are the density's, bit for bit
+    for cfg in (GridConfig(), GridConfig(20.0, 1 << 15), GridConfig(0.3, 16)):
+        q = GridDensity(-cfg.half_width, cfg.step, np.ones(cfg.points))
+        assert cfg.step == 2.0 * cfg.half_width / cfg.points and same_bits(cfg.x, q.x)
+    assert same_bits(GridConfig().x, x)
 
 
 def test_grid_x_is_cached_and_read_only(uniform_grid):
@@ -77,7 +82,7 @@ def test_grid_density_refuses_non_finite_origin_and_step(origin, step):
 
 def test_discretize_needs_power_of_two(uniform_model):
     with pytest.raises(ValueError):
-        discretize(uniform_model, 12.0, 1000)
+        discretize(uniform_model, GridConfig(12.0, 1000))
 
 
 @pytest.mark.parametrize("half_width", [np.nan, np.inf])
@@ -85,7 +90,7 @@ def test_discretize_refuses_non_finite_half_width(uniform_model, half_width):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="half_width must be positive and finite"):
-            discretize(uniform_model, half_width, 1 << 14)
+            discretize(uniform_model, GridConfig(half_width, 1 << 14))
 
 
 def test_each_n_of_a_sum_samples_the_base_once():
@@ -94,25 +99,25 @@ def test_each_n_of_a_sum_samples_the_base_once():
     model = grids.AnalyticModel(name="counted", cdf=lambda x: calls.append(1) or base.cdf(x),
                                 cumulants=base.cumulants)
     cfg = GridConfig(half_width=10.0, points=1024)
-    first = discretize(model, cfg.half_width, cfg.points)
+    first = discretize(model, cfg)
     first.values[:] = 0.0  # a caller's copy: the next call must not see this
-    again = discretize(model, cfg.half_width, cfg.points)
-    fresh = discretize(make_model(SKEWED), cfg.half_width, cfg.points)
+    again = discretize(model, cfg)
+    fresh = discretize(make_model(SKEWED), cfg)
     assert same_bits(again.values, fresh.values) and again.values.flags.writeable
     for n in (2, 4):
         normalized_sum_density(model, n, cfg)
     # a copy with another name and log-Laplace samples the same functions
     twin = dataclasses.replace(model, name="twin", log_laplace=base.log_laplace)
-    assert same_bits(discretize(twin, cfg.half_width, cfg.points).values, again.values)
+    assert same_bits(discretize(twin, cfg).values, again.values)
     assert len(calls) == 1
-    discretize(model, cfg.half_width, 2 * cfg.points)
+    discretize(model, GridConfig(cfg.half_width, 2 * cfg.points))
     assert len(calls) == 2
 
 
 def test_too_narrow_window():
     model = model_of({"kind": "normal", "params": {"sigma2": 1.0}})
     with pytest.raises(GridTooNarrowError):
-        discretize(model, 0.5, 64)
+        discretize(model, GridConfig(0.5, 64))
 
 
 def test_convolve_gaussians(normal_grid):
@@ -154,7 +159,7 @@ def _reference_window(p, half):
 def _reference_product(model, n, cfg=GridConfig()):
     """base^n by the per-n path: repeated squaring with fftconvolve, each
     product cut to 40 standard deviations of the sum it holds."""
-    base = discretize(model, cfg.half_width, cfg.points)
+    base = discretize(model, cfg)
     sd = math.sqrt(base.step * float(np.sum(base.x ** 2 * base.values)))
     work, k_work = grids._trimmed(base), 1
     acc, k_acc = None, 0
@@ -553,7 +558,7 @@ def test_chain_arrays_are_bounded(skewed_model):
     assert all(p.meta["chain_max_len"] <= 80 * 8192 + 1 for p in stream.values())
     p = stream[1 << 20]
     n_kl = (1 << 20) * kl(p, gaussian_grid(p))
-    gamma3 = moment_summary(discretize(skewed_model, 12.0, 1 << 14)).alpha3
+    gamma3 = moment_summary(discretize(skewed_model, GridConfig(12.0, 1 << 14))).alpha3
     assert abs(n_kl / (gamma3 ** 2 / 12.0) - 1.0) < 1e-4
 
 
@@ -782,3 +787,9 @@ def test_pointwise_density_bound_uniform():
     report = pointwise_density_bound_check(model_of("uniform"), n=8,
                                            sigma2=1.0, M=1.0 / (2.0 * SQRT3))
     assert report.holds
+    # a level M under p_2's: the five leftmost failing cells are the witnesses
+    low = pointwise_density_bound_check(model_of("uniform"), n=2, sigma2=1.0, M=0.05)
+    assert low.verdict == "fails" and len(low.witnesses) == 5
+    xs, margins = zip(*low.witnesses)
+    assert abs(xs[0] + 2.3196) < 1e-4 and abs(margins[0] + 1.7617e-4) < 1e-7
+    assert list(xs) == sorted(xs) and max(margins) < -low.tolerances["margin_tol"]

@@ -147,7 +147,7 @@ def _per_k_normal_moments(model, K):
                       for k in range(1, K + 1)]
         total = float(r * np.sum(wts * dens))
         return tuple(c / total for c in cs)
-    half, points = hermite._MOMENT_GRID_HALF_WIDTH, hermite._MOMENT_GRID_POINTS
+    half, points = hermite._MOMENT_GRID
     step = 2.0 * half / points
     x = -half + step * (np.arange(points) + 0.5)
     vals = np.maximum(np.asarray(model.density(x), dtype=float), 0.0)
@@ -205,10 +205,27 @@ def test_series_divergence_gate():
         chi2_from_normal_moments(c_of(2.0))
 
 
+def test_legendre_rule_is_capped(monkeypatch):
+    # no c_k above 301 is finite, so K = 2000 builds a 1024-node rule,
+    # not one of 4000 nodes, and fails at c_302 as any rule does
+    leggauss, sizes = np.polynomial.legendre.leggauss, []
+
+    def spy(n):
+        sizes.append(n)
+        if n > 1024:
+            raise AssertionError(f"a {n}-node Gauss-Legendre rule")
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", spy)
+    with pytest.raises(SeriesError, match="c_302 "):
+        normal_moments(model_of("uniform"), K=2000)
+    assert sizes == [1024]
+
+
 def test_tail_dominance_gate():
     # K = 40 on a half-width-6 grid: H_40 phi has not decayed at the edge
-    from renyi_lab import discretize
-    narrow = discretize(model_of("normal"), 6.0, 1 << 12)
+    from renyi_lab import GridConfig, discretize
+    narrow = discretize(model_of("normal"), GridConfig(6.0, 1 << 12))
     with pytest.raises(TailDominanceError):
         normal_moments(narrow, K=40)
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from types import MappingProxyType
 
@@ -30,6 +31,18 @@ def test_make_model_kinds_and_errors():
     # the catalogue lives apart from the constructors, for `zoo list`
     assert MODEL_DOCS is models.MODEL_DOCS
     assert set(MODEL_DOCS) == set(models._CONSTRUCTORS)
+
+
+def test_make_model_takes_any_mapping_and_refuses_other_specs():
+    spec = MappingProxyType({"kind": "normal", "params": MappingProxyType({"sigma2": 1.3})})
+    assert make_model(spec).name == "normal(sigma2=1.3)"
+    for bad in ("uniform", ["uniform", {}], None):
+        with pytest.raises(ValueError, match=re.escape("a ModelSpec or a {'kind', 'params'} "
+                                                       "mapping, not " + type(bad).__name__)):
+            make_model(bad)
+    # a kind that is not a name, such as a JSON list, is an unknown kind
+    with pytest.raises(ValueError, match=re.escape("unknown model kind [1]")):
+        make_model({"kind": [1]})
 
 
 def test_uniform_model_basics(uniform_model):

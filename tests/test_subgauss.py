@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from renyi_lab import (AnalyticModel, ConstraintError, TailDominanceError,
+from renyi_lab import (AnalyticModel, ConstraintError, GridConfig, TailDominanceError,
                        bernoulli_log_laplace, bernoulli_subgauss_constant,
                        convolve, dinf_clt_check, discretize, esscher,
                        infinite_order, gaussian_grid, laplace_eval, moment_summary,
@@ -71,6 +71,12 @@ def test_strict_subgauss_failures():
         report = strict_subgauss_check(numeric({"kind": "power_density", "params": {"d": d}}))
         assert report.verdict == "inconclusive", d
         assert report.witnesses and all(m < -MARGIN_BAND for _, m in report.witnesses), d
+    # the numeric uniform stays above the band but not above 0: -7.8e-11
+    # at t = -0.02, which only a closed form may call "holds"
+    report = strict_subgauss_check(numeric("uniform"))
+    assert report.verdict == "inconclusive"
+    [(t, margin)] = report.witnesses
+    assert abs(t + 0.02) < 1e-9 and -MARGIN_BAND < margin < -1e-11
 
 
 @pytest.mark.parametrize("c", [1e-11, 1e-9, 1e-8])
@@ -96,6 +102,20 @@ def test_separation_checks():
     assert separation_check(norm, [1.0]).verdict == "inconclusive"
     per = profile(model_of("sin_power"))
     assert separation_check(per, [1.0]).verdict == "fails"
+    # a decaying tail whose psi climbs above 1 beyond t0 (at t ~ 3.2)
+    skew = separation_check(profile(model_of(SKEWED)), [0.5])
+    assert skew.verdict == "fails" and skew.detail == {"tail": "decaying"}
+    [(t, margin)] = skew.witnesses
+    assert abs(t - 3.2) < 1e-9 and abs(margin + 0.52158) < 1e-5
+    growing = profile(model_of({"kind": "gauss_scale_mixture",
+                                "params": {"atoms": [[0.5, 0.6], [0.5, 1.4]]}}))
+    assert growing.tail == "growing"
+    assert separation_check(growing, [0.5]).verdict == "fails"
+    # psi < 1 beyond t0 on a numeric profile, whose tail is unknown
+    numeric = profile(dataclasses.replace(model_of("uniform"), log_laplace=None))
+    report = separation_check(numeric, [0.5, 1.0])
+    assert report.verdict == "inconclusive" and report.detail == {"tail": "unknown"}
+    assert all(m > MARGIN_BAND for _, m in report.witnesses)
 
 
 @pytest.mark.parametrize("t0", [0.0, -1.0, math.nan])
@@ -193,7 +213,7 @@ def test_numeric_profile_matches_full_scan(spec, t_range):
     # moves K by rounding only: 1.4e-14 of max(1, |K|) over these cases
     model = spec if isinstance(spec, AnalyticModel) else model_of(spec)
     model = dataclasses.replace(model, log_laplace=None)
-    p = discretize(model, 12.0, 1 << 14)
+    p = discretize(model, GridConfig(12.0, 1 << 14))
     ref_ts, ref_ks = _full_scan(p, t_range)
     ts, ks = _decayed_run(p, np.linspace(*t_range, 2001))
     assert same_bits(ts, ref_ts)
@@ -235,7 +255,7 @@ def test_numeric_profile_evaluates_the_decayed_run_only(monkeypatch):
 def test_numeric_profile_refuses_undecayed_density():
     # a flat density peaks at both window edges, so no t passes the gate
     flat = AnalyticModel(name="flat", density=lambda x: np.full_like(x, 1.0 / 24.0))
-    p = discretize(flat, 12.0, 1 << 14)
+    p = discretize(flat, GridConfig(12.0, 1 << 14))
     assert len(_full_scan(p, (-40.0, 40.0))[0]) == 0
     with pytest.raises(TailDominanceError) as info:
         laplace_eval(p, 0.0)
@@ -441,7 +461,7 @@ def test_esscher_refuses_nan_t(uniform_grid):
 
 def test_numeric_profile_beyond_the_exp_range(uniform_model):
     # t = +-80 overflows e^(tx) at the window's edges, off the support
-    p = discretize(uniform_model, 12.0, 1 << 14)
+    p = discretize(uniform_model, GridConfig(12.0, 1 << 14))
     ts, ks = _decayed_run(p, np.linspace(-80.0, 80.0, 2001))
     assert (ts[0], ts[-1]) == (-80.0, 80.0)
     K = _spline(ts[0], 160.0 / 2000, ks)
