@@ -8,8 +8,8 @@ Importing the package loads only `errors` and `reports`: the first
 access of any other public name loads the whole API at once (numpy and
 every numeric module), so a caller pays the import in one place.  The
 CLI module (`renyi_lab.cli`) is not imported with the package;
-`ExperimentConfig` and `run_experiment` load it on first access, and
-each of its commands imports only the modules it runs."""
+`run_experiment` loads it on first access, and each of its commands
+imports only the modules it runs."""
 
 from .errors import (AliasingError, ChainTooLongError, ConstraintError,
                      GridTooNarrowError, LabError, OscillationError,
@@ -36,7 +36,7 @@ def _api() -> dict:
     from .subgauss import (LogLaplaceProfile, dinf_clt_check, esscher,
                            periodic_clt_check, profile, quartic_classify,
                            separation_check, strict_subgauss_check)
-    from .models import (MODEL_DOCS, ModelSpec, bernoulli_gauss_construct,
+    from .models import (MODEL_DOCS, bernoulli_gauss_construct,
                          bernoulli_log_laplace, bernoulli_subgauss_constant,
                          make_model, mixture_chi2, sin_power_coefficients)
     return locals()
@@ -45,7 +45,7 @@ def _api() -> dict:
 def __getattr__(name):
     # the CLI module is loaded on first use, so that `python -m
     # renyi_lab.cli` does not find it already imported
-    if name in ("ExperimentConfig", "run_experiment"):
+    if name == "run_experiment":
         from . import cli
         return getattr(cli, name)
     # `from . import cli` asks for the attribute before importing the

@@ -2,7 +2,7 @@
 runs rate experiments over n, and emits machine-readable reports.
 
 Exit codes: 0 success (or "holds" for checkers), 1 failure, 2
-inconclusive, 3 argument or config parse error.
+inconclusive, 3 argument error (a --model spec that cannot be read included).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import LabError
@@ -24,7 +23,6 @@ from .reports import FAILS, HOLDS, INCONCLUSIVE, worst
 
 if TYPE_CHECKING:
     from .grids import GridConfig
-    from .models import ModelSpec
 
 # Each command imports the numeric modules it runs at its top, in the main
 # thread: `--help` or an unknown command loads no numpy, and `zoo` no divergence.
@@ -33,25 +31,6 @@ _EXIT = {HOLDS: 0, FAILS: 1, INCONCLUSIVE: 2}
 # rate's distances: each is dist's T column at its Renyi order, None
 # for renyi's own --alpha-value
 _ORDERS = {"kl": 1.0, "chi2": 2.0, "renyi": None, "tinf": math.inf}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    model: ModelSpec
-    distance: str                       # a key of _ORDERS
-    n_values: tuple
-    grid: GridConfig | None = None      # None is GridConfig()
-    alpha: float = 2.0
-
-    def __post_init__(self):
-        ns = tuple(int(n) for n in self.n_values)
-        if any(b <= a for a, b in zip(ns, ns[1:])) or not ns:
-            raise ValueError("n_values must be nonempty and strictly increasing")
-        object.__setattr__(self, "n_values", ns)
-        if self.distance not in _ORDERS:
-            raise ValueError(f"unknown distance {self.distance!r}")
-        if math.isnan(self.alpha):
-            raise ValueError("alpha must not be NaN")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,16 +42,17 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _parse_model(text: str) -> ModelSpec:
-    from .models import ModelSpec
-    if text.startswith("@"):
-        with open(text[1:]) as fh:
-            text = fh.read()
-    text = text.strip()
-    if text.startswith("{"):
-        obj = json.loads(text)
-        return ModelSpec(obj.get("kind", ""), obj.get("params", {}) or {})
-    return ModelSpec(text, {})
+def _parse_model(text: str):
+    """--model's type: a kind name, or a JSON object given inline or as
+    @file; an unreadable file or bad JSON is an argument error."""
+    try:
+        if text.startswith("@"):
+            with open(text[1:]) as fh:
+                text = fh.read()
+        text = text.strip()
+        return json.loads(text) if text.startswith("{") else text
+    except (OSError, ValueError) as exc:  # bad JSON or bad UTF-8 is a ValueError
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_grid(text: str) -> GridConfig:
@@ -152,7 +132,7 @@ def _orders(p, q, alpha, chi2=False):
 def _cmd_dist(args) -> int:
     from .grids import gaussian_grid, normalized_sum_density
     from .models import make_model
-    model = make_model(_parse_model(args.model))
+    model = make_model(args.model)
     p = normalized_sum_density(model, args.n, args.grid)
     q = gaussian_grid(p)
     rows = [(alpha, *_orders(p, q, alpha)) for alpha in args.alpha]
@@ -160,25 +140,33 @@ def _cmd_dist(args) -> int:
     return 0
 
 
-def run_experiment(cfg: ExperimentConfig) -> list:
-    """One row per n: value, tail_bound, fitted constant, predicted
-    constant, relative gap.
+def run_experiment(model, distance, n_values, grid=None, alpha=2.0) -> list:
+    """One row per n of `distance` (a key of _ORDERS; renyi's order is
+    alpha) for the model spec on the grid (None is GridConfig()): value,
+    tail_bound, fitted constant, predicted constant, relative gap.
 
     The distances are those of S_n/(sigma sqrt(n)), sigma^2 the model's
     variance, and the constants are predicted from the standardized
     cumulants kappa_k/sigma^k.  One streaming pass of the convolution
     chain serves every n; each n's distance is taken as soon as its
     density is complete, before the pass squares on."""
+    ns = tuple(int(n) for n in n_values)
+    if any(b <= a for a, b in zip(ns, ns[1:])) or not ns:
+        raise ValueError("n_values must be nonempty and strictly increasing")
+    if distance not in _ORDERS:
+        raise ValueError(f"unknown distance {distance!r}")
+    if math.isnan(alpha):
+        raise ValueError("alpha must not be NaN")
+    from .models import make_model
     from .edgeworth import CumulantVector, expansion_constants, fit_leading_constant
     from .grids import gaussian_grid, sum_densities
-    from .models import make_model
-    model = make_model(cfg.model)
+    model = make_model(model)
     var = model.variance
     if var is None or not var > 0:
         raise LabError(f"model {model.name!r} has no positive variance to standardize by")
-    order = _ORDERS[cfg.distance] or cfg.alpha
-    results = [_orders(p, gaussian_grid(p), order, cfg.distance == "chi2")[1:]
-               for p in sum_densities(model, cfg.n_values, cfg.grid, math.sqrt(var))]
+    order = _ORDERS[distance] or alpha
+    results = [_orders(p, gaussian_grid(p), order, distance == "chi2")[1:]
+               for p in sum_densities(model, ns, grid, math.sqrt(var))]
     values = [v for v, _ in results]
     gam = tuple(c / var ** (k / 2) for k, c in enumerate(model.cumulants or (0.0, var), 1))
     const = expansion_constants(CumulantVector(gam))
@@ -190,27 +178,25 @@ def run_experiment(cfg: ExperimentConfig) -> list:
         power = 2.0 if const["chi2_c2_valid"] else 1.0
         predicted = 0.5 * order * const["chi2_c2" if power == 2.0 else "chi2_c1"]
     if all(math.isfinite(v) for v in values):
-        fitted, _ = fit_leading_constant(cfg.n_values, values, power)
+        fitted, _ = fit_leading_constant(ns, values, power)
     else:
         fitted = math.nan
     gap = abs(fitted - predicted) / abs(predicted) if predicted else math.nan
     return [(n, v, tb, fitted, predicted, gap)
-            for n, (v, tb) in zip(cfg.n_values, results)]
+            for n, (v, tb) in zip(ns, results)]
 
 
 def _cmd_rate(args) -> int:
-    cfg = ExperimentConfig(
-        model=_parse_model(args.model), distance=args.distance,
-        n_values=tuple(args.n), grid=args.grid, alpha=args.alpha_value)
-    _emit(run_experiment(cfg), ["n", "value", "tail_bound", "fitted_constant",
-                                "predicted_constant", "relative_gap"], args)
+    rows = run_experiment(args.model, args.distance, args.n, args.grid, args.alpha_value)
+    _emit(rows, ["n", "value", "tail_bound", "fitted_constant", "predicted_constant",
+                 "relative_gap"], args)
     return 0
 
 
 def _cmd_hermite(args) -> int:
     from .hermite import normal_moments
     from .models import make_model
-    model = make_model(_parse_model(args.model))
+    model = make_model(args.model)
     c = normal_moments(model, K=args.k)
     rows = [(k, c[k]) for k in range(len(c))]
     _emit(rows, ["k", "c_k"], args)
@@ -221,7 +207,7 @@ def _cmd_edgeworth(args) -> int:
     from .edgeworth import CumulantVector, q_polynomial
     if args.model:
         from .models import make_model
-        model = make_model(_parse_model(args.model))
+        model = make_model(args.model)
         if model.cumulants is None:
             raise LabError(f"model {model.name!r} has no closed-form cumulants")
         gam = CumulantVector(model.cumulants)
@@ -241,7 +227,7 @@ def _cmd_edgeworth(args) -> int:
 def _check_report(args, which) -> int:
     from .models import make_model
     from .subgauss import dinf_clt_check, profile, separation_check, strict_subgauss_check
-    model = make_model(_parse_model(args.model))
+    model = make_model(args.model)
     prof = profile(model)
     if which == "subgauss":
         report = strict_subgauss_check(prof)
@@ -265,7 +251,7 @@ def _cmd_zoo(args) -> int:
             print(f"{kind}: {MODEL_DOCS[kind]}")
         return 0
     from .models import make_model
-    model = make_model(_parse_model(args.model))
+    model = make_model(args.model)
     info = {"name": model.name,
             "cumulants": list(model.cumulants) if model.cumulants else None,
             "has_density": model.density is not None,
@@ -291,7 +277,7 @@ def build_parser() -> _Parser:
     sp = ap.add_subparsers(dest="command", required=True)
 
     d = sp.add_parser("dist", help="divergences of Z_n from the standard normal")
-    d.add_argument("--model", required=True)
+    d.add_argument("--model", type=_parse_model, required=True)
     d.add_argument("--alpha", type=_values(float, "comma-separated positive numbers, e.g. "
                                            "1,2,inf", _order_ok, many=True),
                    default="2", help="comma-separated orders; 1 means KL, inf allowed")
@@ -300,7 +286,7 @@ def build_parser() -> _Parser:
     d.set_defaults(fn=_cmd_dist)
 
     r = sp.add_parser("rate", help="distance decay over a list of n")
-    r.add_argument("--model", required=True)
+    r.add_argument("--model", type=_parse_model, required=True)
     r.add_argument("--distance", default="chi2", choices=list(_ORDERS))
     r.add_argument("--alpha-value", type=_values(float, "a positive number", _order_ok),
                    default=2.0)
@@ -311,7 +297,7 @@ def build_parser() -> _Parser:
     r.set_defaults(fn=_cmd_rate)
 
     h = sp.add_parser("hermite", help="normal moments c_k = E H_k(X)")
-    h.add_argument("--model", required=True)
+    h.add_argument("--model", type=_parse_model, required=True)
     h.add_argument("--k", type=_values(int, "a non-negative integer", lambda k: k >= 0),
                    default=40)
     _add_common(h)
@@ -319,7 +305,7 @@ def build_parser() -> _Parser:
 
     e = sp.add_parser("edgeworth", help="correction polynomial coefficients")
     source = e.add_mutually_exclusive_group(required=True)
-    source.add_argument("--model")
+    source.add_argument("--model", type=_parse_model)
     source.add_argument("--gammas", type=_values(float, "comma-separated numbers, e.g. 0,1,0.6",
                                                  many=True),
                         help="comma-separated cumulants gamma_1,...")
@@ -329,19 +315,19 @@ def build_parser() -> _Parser:
     e.set_defaults(fn=_cmd_edgeworth)
 
     cs = sp.add_parser("check-subgauss", help="strict subgaussianity checker")
-    cs.add_argument("--model", required=True)
+    cs.add_argument("--model", type=_parse_model, required=True)
     cs.add_argument("--t0", type=_values(float, "comma-separated positive finite numbers, "
                                          "e.g. 0.5,1,2", lambda t: 0 < t < math.inf, many=True),
                     default=None, help="also run the separation check at these t0")
     cs.set_defaults(fn=lambda a: _check_report(a, "subgauss"))
 
     cd = sp.add_parser("check-clt-dinf", help="CLT-in-D_inf condition checker")
-    cd.add_argument("--model", required=True)
+    cd.add_argument("--model", type=_parse_model, required=True)
     cd.set_defaults(fn=lambda a: _check_report(a, "dinf"))
 
     z = sp.add_parser("zoo", help="list models or describe one")
     z.add_argument("action", nargs="?", default="list", choices=["list", "describe"])
-    z.add_argument("--model", default=None)
+    z.add_argument("--model", type=_parse_model, default=None)
     z.set_defaults(fn=_cmd_zoo)
     return ap
 
@@ -362,9 +348,6 @@ def main(argv=None) -> int:
         ap.exit(3, f"renyi-lab: error: zoo {args.action} needs --model\n")
     try:
         return args.fn(args)
-    except (json.JSONDecodeError, OSError) as exc:
-        print(f"renyi-lab: parse error: {exc}", file=sys.stderr)
-        return 3
     except (LabError, ValueError) as exc:
         print(f"renyi-lab: error: {exc}", file=sys.stderr)
         return 1

@@ -40,6 +40,8 @@ coefficients only where it is evaluated.  The module imports no scipy.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator
@@ -99,9 +101,14 @@ class GridConfig:
     points: int = 1 << 14
 
     def __post_init__(self):
-        if not (math.isfinite(self.half_width) and self.half_width > 0):
+        w = self.half_width
+        if not (isinstance(w, numbers.Real) and math.isfinite(w) and w > 0):
             raise ValueError("half_width must be positive and finite")
-        if self.points < 16 or self.points & (self.points - 1):
+        try:
+            n = operator.index(self.points)  # an int or a numpy integer, not a float
+        except TypeError:
+            n = 0
+        if n < 16 or n & (n - 1):
             raise ValueError("points must be a power of two, at least 16")
 
     @property

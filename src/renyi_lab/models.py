@@ -14,7 +14,7 @@ from __future__ import annotations
 import inspect
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,12 +22,6 @@ from .errors import ConstraintError
 from .zoo import MODEL_DOCS, AnalyticModel  # MODEL_DOCS re-exported beside the constructors
 
 SQRT3 = math.sqrt(3.0)
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    kind: str
-    params: dict = field(default_factory=dict)
 
 
 def _phi(x, var=1.0):
@@ -159,7 +153,7 @@ def normal_model(sigma2: float = 1.0) -> AnalyticModel:
         raise ValueError("sigma2 must be positive and finite")
     return _normal_mixture(f"normal(sigma2={sigma2:g})", [(1.0, 0.0, sigma2)],
                            cumulants=(0.0, sigma2),
-                           meta={"psi_tail": "constant" if sigma2 == 1.0 else "unknown"})
+                           meta={"psi_tail": "constant"})
 
 
 def uniform_model() -> AnalyticModel:
@@ -590,47 +584,49 @@ _CONSTRUCTORS = {
 }
 
 
-def _holds_str_or_bool(value) -> bool:
-    """Whether a parameter value holds a string or a boolean anywhere."""
-    if isinstance(value, (str, bool)):
+def _refused(value) -> bool:
+    """Whether a parameter value holds a string, a boolean or a mapping
+    anywhere: no constructor takes one."""
+    if isinstance(value, (str, bool, Mapping)):
         return True
-    if isinstance(value, Mapping):
-        value = value.values()
-    elif not isinstance(value, (list, tuple)):
-        return False
-    return any(_holds_str_or_bool(v) for v in value)
+    return isinstance(value, (list, tuple)) and any(map(_refused, value))
 
 
 def make_model(spec) -> AnalyticModel:
-    """Build a model from a ModelSpec or a {"kind", "params"} mapping.
+    """Build a model from a kind name or a {"kind", "params"} mapping.
 
     A parameter given as None (JSON null) takes its default; one that
-    holds a string or a boolean anywhere is refused."""
-    if isinstance(spec, Mapping):
-        spec = ModelSpec(spec.get("kind", ""), spec.get("params", {}) or {})
-    elif not isinstance(spec, ModelSpec):
-        raise ValueError("a model spec is a ModelSpec or a {'kind', 'params'} mapping, "
+    holds a string, a boolean or a mapping anywhere is refused, and so
+    is one of a shape its constructor cannot take."""
+    if isinstance(spec, str):
+        spec = {"kind": spec}
+    elif not isinstance(spec, Mapping):
+        raise ValueError("a model spec is a kind name or a {'kind', 'params'} mapping, "
                          f"not {type(spec).__name__}")
-    if not isinstance(spec.kind, str) or spec.kind not in _CONSTRUCTORS:
-        raise ValueError(f"unknown model kind {spec.kind!r}; "
+    kind, values = spec.get("kind", ""), spec.get("params", {}) or {}
+    if not isinstance(kind, str) or kind not in _CONSTRUCTORS:
+        raise ValueError(f"unknown model kind {kind!r}; "
                          f"available: {', '.join(sorted(_CONSTRUCTORS))}")
-    build = _CONSTRUCTORS[spec.kind]
-    if not isinstance(spec.params, Mapping):
-        raise ValueError(f"model {spec.kind!r}: params must be a mapping of names to values")
+    build = _CONSTRUCTORS[kind]
+    if not isinstance(values, Mapping):
+        raise ValueError(f"model {kind!r}: params must be a mapping of names to values")
     params = inspect.signature(build).parameters
-    for name in spec.params:
+    for name in values:
         if name not in params:
-            raise ValueError(f"model {spec.kind!r} has no parameter {name!r}; "
+            raise ValueError(f"model {kind!r} has no parameter {name!r}; "
                              f"its parameters: {', '.join(params) or 'none'}")
-    given = {name: value for name, value in spec.params.items() if value is not None}
+    given = {name: value for name, value in values.items() if value is not None}
     for name, param in params.items():
         if param.default is param.empty and name not in given:
-            raise ValueError(f"model {spec.kind!r} needs parameter {name!r}")
+            raise ValueError(f"model {kind!r} needs parameter {name!r}")
     for name, value in given.items():
-        if _holds_str_or_bool(value):
-            raise ValueError(f"model {spec.kind!r}: parameter {name!r} must be numbers, "
-                             "not strings or booleans")
-    return build(**given)
+        if _refused(value):
+            raise ValueError(f"model {kind!r}: parameter {name!r} must be numbers, "
+                             "not strings, booleans or mappings")
+    try:
+        return build(**given)
+    except TypeError as exc:  # a list where a number goes, or the reverse
+        raise ValueError(f"model {kind!r}: a parameter has the wrong shape ({exc})") from None
 
 
 def mixture_chi2(pi_spec) -> float:

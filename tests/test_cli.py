@@ -8,10 +8,10 @@ import warnings
 import pytest
 
 from renyi_lab import grids
-from renyi_lab.cli import ExperimentConfig, main, run_experiment
+from renyi_lab.cli import main, run_experiment
 from renyi_lab.divergences import infinite_order, kl, pearson_vajda_result, renyi_tsallis
 from renyi_lab.grids import gaussian_grid, normalized_sum_density
-from renyi_lab.models import ModelSpec, make_model
+from renyi_lab.models import make_model
 
 SKEWED = '{"kind": "bernoulli_gauss", "params": {"p": 0.2, "beta": 1.127}}'
 
@@ -108,12 +108,11 @@ def test_rate_renyi_matches_renyi_tsallis_per_n():
     # n builds its own (p, q) pair, and the supports kept on them for the
     # order scan must not leak between the ns of one pass
     ns = (4, 8, 16, 32)
-    uniform = make_model(ModelSpec("uniform", {}))
+    uniform = make_model("uniform")
     pairs = [(p, gaussian_grid(p)) for p in (normalized_sum_density(uniform, n) for n in ns)]
 
     def rows(distance, alpha=3.0):
-        return run_experiment(ExperimentConfig(ModelSpec("uniform", {}), distance, ns,
-                                               alpha=alpha))
+        return run_experiment("uniform", distance, ns, alpha=alpha)
 
     def chi2(p, q):
         t = pearson_vajda_result(p, q, 2.0)
@@ -162,15 +161,14 @@ def test_nan_order_exits_1(capsys, argv):
     assert err.startswith("renyi-lab: error:") and err.count("\n") == 1
 
 
-def test_experiment_config_refuses_nan_alpha():
+def test_run_experiment_refuses_nan_alpha():
     with pytest.raises(ValueError, match="NaN"):
-        ExperimentConfig(model=ModelSpec("uniform", {}), distance="renyi",
-                         n_values=(2, 4), alpha=math.nan)
+        run_experiment("uniform", "renyi", (2, 4), alpha=math.nan)
 
 
-def test_experiment_config_refuses_an_unknown_distance():
+def test_run_experiment_refuses_an_unknown_distance():
     with pytest.raises(ValueError, match="unknown distance 'tv'"):
-        ExperimentConfig(ModelSpec("uniform", {}), "tv", (2, 4))
+        run_experiment("uniform", "tv", (2, 4))
 
 
 def test_rate_reports_an_infinite_renyi_divergence(capsys):
@@ -237,7 +235,7 @@ def test_rate_on_a_scaled_normal_is_zero(capsys):
 def test_rate_refuses_a_model_without_variance(capsys, monkeypatch):
     import renyi_lab.models as models
     from renyi_lab.grids import AnalyticModel
-    uniform = models.make_model(ModelSpec("uniform", {}))
+    uniform = models.make_model("uniform")
     monkeypatch.setattr(models, "make_model", lambda spec: AnalyticModel(
         name="unscaled", density=uniform.density, cdf=uniform.cdf))
     code, out, err = run(capsys, "rate", "--model", "uniform", "--n", "2,4")
@@ -406,8 +404,7 @@ def test_the_last_format_flag_wins(capsys, flags, fmt):
 
 
 def test_run_experiment_returns_the_rows_rate_prints(capsys):
-    rows = run_experiment(ExperimentConfig(model=ModelSpec("uniform", {}), distance="chi2",
-                                           n_values=(2, 4)))
+    rows = run_experiment({"kind": "uniform"}, "chi2", (2, 4))
     assert capsys.readouterr().out == ""
     code, out, _ = run(capsys, "rate", "--model", "uniform", "--n", "2,4", "--json")
     assert code == 0
@@ -457,11 +454,13 @@ def test_check_clt_dinf_exit_codes(capsys):
     assert code == 1
     report = json.loads(out)
     assert any(abs(t - math.pi / 6.0) < 1e-6 for t in report["zero_set"])
-    # psi = 1 identically: the constant tail holds with no zero set to scan
-    code, out, _ = run(capsys, "check-clt-dinf", "--model", "normal")
-    report = json.loads(out)
-    assert (code, report["verdict"], report["detail"]["reason"]) == (0, "holds",
-                                                                     "A identically zero")
+    # psi = 1 identically at any variance, which the profile standardizes
+    # by: the constant tail holds with no zero set to scan
+    for spec in ("normal", '{"kind": "normal", "params": {"sigma2": 2}}'):
+        code, out, _ = run(capsys, "check-clt-dinf", "--model", spec)
+        report = json.loads(out)
+        assert (code, report["verdict"], report["detail"]["reason"]) == (
+            0, "holds", "A identically zero"), spec
 
 
 BAD_PARAMETERS = {  # id: (kind, params, a phrase the error must contain)
@@ -484,6 +483,19 @@ BAD_PARAMETERS = {  # id: (kind, params, a phrase the error must contain)
     "string-atom": ("gauss_scale_mixture", {"atoms": [["0.5", 0.6], [0.5, 1.4]]},
                     "'gauss_scale_mixture': parameter 'atoms' must be numbers"),
     "boolean-d": ("power_density", {"d": True}, "'power_density': parameter 'd' must be numbers"),
+    # a value of a shape its constructor cannot take, and a mapping anywhere
+    "list-sigma2": ("normal", {"sigma2": [1]}, "'normal': a parameter has the wrong shape"),
+    "mapping-sigma2": ("normal", {"sigma2": {"a": 1}},
+                       "'normal': parameter 'sigma2' must be numbers"),
+    "list-c": ("sin_power", {"c": [1]}, "'sin_power': a parameter has the wrong shape"),
+    "list-p": ("bernoulli_gauss", {"p": [0.2], "beta": 1.127},
+               "'bernoulli_gauss': a parameter has the wrong shape"),
+    "number-b": ("trig_periodic", {"a": [0.125, 0, -0.1875, 0, 0.0625], "b": 5},
+                 "'trig_periodic': a parameter has the wrong shape"),
+    "mapping-weights": ("bernoulli_sum", {"weights": {"a": 1}},
+                        "'bernoulli_sum': parameter 'weights' must be numbers"),
+    "mapping-in-list": ("gauss_scale_mixture", {"atoms": [[0.5, 0.6], {"w": 0.5, "s2": 1.4}]},
+                        "'gauss_scale_mixture': parameter 'atoms' must be numbers"),
 }
 
 
@@ -530,11 +542,23 @@ def test_model_from_file(tmp_path, capsys):
     assert json.loads(out)["name"].startswith("bernoulli_gauss")
 
 
+def _argument_error(capsys, *argv):
+    """The stderr of argv, which must exit 3 at parse time with empty
+    stdout and one stderr line."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 3 and out.out == ""
+    assert out.err.count("\n") == 1, out.err
+    return out.err
+
+
 def test_parse_errors(capsys):
-    code, _, _ = run(capsys, "dist", "--model", '{"kind": "uniform"')  # bad JSON
-    assert code == 3
-    code, _, _ = run(capsys, "zoo", "--model", "@/nonexistent/model.json")
-    assert code == 3
+    err = _argument_error(capsys, "dist", "--model", '{"kind": "uniform"')  # bad JSON
+    assert err.startswith("renyi-lab dist: error: argument --model: Expecting ',' delimiter")
+    err = _argument_error(capsys, "zoo", "--model", "@/nonexistent/model.json")
+    assert err.startswith("renyi-lab zoo: error: argument --model: ")
+    assert "No such file or directory: '/nonexistent/model.json'" in err
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 3
@@ -552,9 +576,12 @@ def test_unwritable_out_is_one_error_line(capsys, out):
 
 
 def test_unreadable_model_file_is_a_parse_error(capsys, tmp_path):
-    code, out, err = run(capsys, "dist", "--model", f"@{tmp_path}")
-    assert code == 3 and out == ""
-    assert err.startswith("renyi-lab: parse error: ") and err.count("\n") == 1
+    err = _argument_error(capsys, "dist", "--model", f"@{tmp_path}")
+    assert err.startswith("renyi-lab dist: error: argument --model: ")
+    binary = tmp_path / "model.bin"
+    binary.write_bytes(b"\xff\xfe{")
+    err = _argument_error(capsys, "rate", "--model", f"@{binary}")
+    assert err.startswith("renyi-lab rate: error: argument --model: ")
 
 
 def test_unknown_model_exits_1(capsys):
@@ -591,7 +618,8 @@ print(json.dumps(["numpy" in sys.modules,
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["frobnicate"], ["zoo", "frobnicate"],
-                                  ["dist"], ["rate"]])
+                                  ["dist"], ["rate"], ["dist", "--model", "@/nonexistent.json"],
+                                  ["rate", "--model", '{"kind": "uniform"']])
 def test_cli_import_and_parse_load_no_numpy(argv):
     assert _loaded_by(argv) == (False, {"cli", "errors", "reports"})
 
@@ -631,12 +659,11 @@ def test_numeric_profile_loads_the_grid_layer_when_it_runs():
     # only the checkers and the models are loaded
     code = f"""
 import dataclasses, json, sys
-from renyi_lab.models import ModelSpec, make_model
+from renyi_lab.models import make_model
 from renyi_lab.subgauss import profile
 before = "renyi_lab.grids" in sys.modules
 spec = json.loads({SKEWED!r})
-prof = profile(dataclasses.replace(make_model(ModelSpec(spec["kind"], spec["params"])),
-                                   log_laplace=None))
+prof = profile(dataclasses.replace(make_model(spec), log_laplace=None))
 print(json.dumps([before, "renyi_lab.grids" in sys.modules, prof.closed_form,
                   prof.t_max, len(prof.K.y)]))
 """

@@ -11,8 +11,8 @@ from scipy.fft import next_fast_len
 from scipy.interpolate import CubicSpline
 from scipy.signal import fftconvolve
 
-from renyi_lab import (AliasingError, ChainTooLongError, ExperimentConfig,
-                       GridConfig, GridDensity, GridTooNarrowError, ModelSpec,
+from renyi_lab import (AliasingError, ChainTooLongError,
+                       GridConfig, GridDensity, GridTooNarrowError,
                        TailDominanceError, convolve, discretize, entropy,
                        entropy_power, gaussian_grid, gaussian_smooth, kl,
                        laplace_eval, make_model,
@@ -83,6 +83,22 @@ def test_grid_density_refuses_non_finite_origin_and_step(origin, step):
 def test_discretize_needs_power_of_two(uniform_model):
     with pytest.raises(ValueError):
         discretize(uniform_model, GridConfig(12.0, 1000))
+
+
+@pytest.mark.parametrize("half_width, points, phrase", [
+    (12.0, 16384.0, "points must be a power of two"),
+    (12.0, "16384", "points must be a power of two"),
+    ("12", 16384, "half_width must be positive and finite"),
+    (None, 16384, "half_width must be positive and finite"),
+])
+def test_grid_config_refuses_a_window_of_the_wrong_type(half_width, points, phrase):
+    with pytest.raises(ValueError, match=phrase):
+        GridConfig(half_width, points)
+
+
+def test_grid_config_takes_numpy_numbers():
+    cfg = GridConfig(np.float64(12.0), np.int64(1 << 14))
+    assert cfg.step == GridConfig().step and same_bits(cfg.x, GridConfig().x)
 
 
 @pytest.mark.parametrize("half_width", [np.nan, np.inf])
@@ -329,7 +345,7 @@ def test_spline_refuses_bad_nodes(x, y):
 def test_shared_chain_matches_single_n(skewed_model):
     ns = (6, 12, 20)
     stream = {p.meta["n"]: p for p in sum_densities(skewed_model, ns)}
-    rows = run_experiment(ExperimentConfig(ModelSpec(**SKEWED), "kl", ns))
+    rows = run_experiment(SKEWED, "kl", ns)
     for n, row in zip(ns, rows):
         p = normalized_sum_density(skewed_model, n)
         assert np.array_equal(stream[n].values, p.values)

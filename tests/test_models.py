@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, roots_legendre
 
-from renyi_lab import (ConstraintError, ModelSpec, MODEL_DOCS, bernoulli_log_laplace,
+from renyi_lab import (ConstraintError, MODEL_DOCS, bernoulli_log_laplace,
                        bernoulli_subgauss_constant, gaussian_grid, make_model,
                        mixture_chi2, pearson_vajda, sin_power_coefficients)
 from renyi_lab import models
@@ -21,7 +21,7 @@ from conftest import model_of, pn_of, same_bits
 
 def test_make_model_kinds_and_errors():
     assert make_model({"kind": "uniform"}).name == "uniform"
-    assert make_model(ModelSpec("normal", {"sigma2": 1.3})).name == "normal(sigma2=1.3)"
+    assert make_model({"kind": "normal", "params": {"sigma2": 1.3}}).name == "normal(sigma2=1.3)"
     with pytest.raises(ValueError):
         make_model({"kind": "cauchy"})
     assert set(MODEL_DOCS) == {
@@ -36,8 +36,11 @@ def test_make_model_kinds_and_errors():
 def test_make_model_takes_any_mapping_and_refuses_other_specs():
     spec = MappingProxyType({"kind": "normal", "params": MappingProxyType({"sigma2": 1.3})})
     assert make_model(spec).name == "normal(sigma2=1.3)"
-    for bad in ("uniform", ["uniform", {}], None):
-        with pytest.raises(ValueError, match=re.escape("a ModelSpec or a {'kind', 'params'} "
+    # a kind name is the spec of its defaults, as `--model uniform` is
+    assert make_model("uniform").name == "uniform"
+    assert make_model("normal").name == make_model({"kind": "normal"}).name
+    for bad in (["uniform", {}], None, b"uniform"):
+        with pytest.raises(ValueError, match=re.escape("a kind name or a {'kind', 'params'} "
                                                        "mapping, not " + type(bad).__name__)):
             make_model(bad)
     # a kind that is not a name, such as a JSON list, is an unknown kind
@@ -287,9 +290,10 @@ def test_make_model_names_bad_parameters():
     with pytest.raises(ValueError, match=r"'normal' has no parameter 'sigma'"):
         make_model({"kind": "normal", "params": {"sigma": 2.0}})
     with pytest.raises(ValueError, match=r"'normal': params must be a mapping"):
-        make_model(ModelSpec("normal", [1.0]))
+        make_model({"kind": "normal", "params": [1.0]})
     # any mapping binds, as it did before the parameter check
-    assert make_model(ModelSpec("normal", MappingProxyType({"sigma2": 2.0}))).cumulants == (0.0, 2.0)
+    params = MappingProxyType({"sigma2": 2.0})
+    assert make_model({"kind": "normal", "params": params}).cumulants == (0.0, 2.0)
 
 
 def test_ndtr_matches_scipy_bitwise():

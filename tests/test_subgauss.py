@@ -1,8 +1,11 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from renyi_lab import (AnalyticModel, ConstraintError, GridConfig, TailDominanceError,
                        bernoulli_log_laplace, bernoulli_subgauss_constant,
@@ -12,6 +15,7 @@ from renyi_lab import (AnalyticModel, ConstraintError, GridConfig, TailDominance
                        renyi_tsallis, separation_check, sin_power_coefficients,
                        strict_subgauss_check)
 from renyi_lab.grids import _spline
+from renyi_lab.models import normal_model
 from renyi_lab.subgauss import MARGIN_BAND, _decayed_run
 from conftest import SKEWED, model_of, pn_of, same_bits
 
@@ -149,6 +153,14 @@ def test_dinf_clt_dichotomy():
     # P'' at the witness equals 2 Q'(pi/6)^2 = 3/2
     wit = min(bad.witnesses, key=lambda w: abs(w[0] - math.pi / 6.0))
     assert abs(wit[1] - 1.5) < 1e-6
+
+
+def test_dinf_clt_holds_for_the_normal_at_any_variance():
+    # the profile standardizes by the model's variance, so A = 0 for
+    # every normal law, not only the standard one
+    for sigma2 in (0.5, 1.0, 2.0):
+        report = dinf_clt_check(profile(normal_model(sigma2)))
+        assert (report.verdict, report.detail["reason"]) == ("holds", "A identically zero")
 
 
 def test_dinf_numeric_only_inconclusive():
@@ -429,6 +441,53 @@ def test_quartic_regions():
     weak = quartic_classify(0.45, 0.1)
     assert weak["is_characteristic_function"]
     assert weak["is_strictly_subgaussian"] == (0.45 >= math.sqrt(0.2))
+
+
+def _quartic_oracle(alpha, beta):
+    """Exact margins of the quartic family at float (alpha, beta).  The
+    inverse transform of e^{-t^2/2}(1 - alpha t^2 + beta t^4) is
+    phi(x) g(x^2), g(u) = beta u^2 + (alpha - 6 beta) u + 1 - alpha + 3 beta,
+    so the first margin, min over u >= 0 of g, is >= 0 iff the function
+    is a characteristic function; the second, alpha|alpha| - 2 beta, is
+    >= 0 iff alpha >= sqrt(2 beta)."""
+    a, b = Fraction(alpha), Fraction(beta)
+    lin, const = a - 6 * b, 1 - a + 3 * b
+    if b == 0:
+        cf = const if lin >= 0 else -math.inf
+    else:
+        vertex = -lin / (2 * b)
+        cf = const - lin * lin / (4 * b) if vertex > 0 else const
+    return cf, a * abs(a) - 2 * b
+
+
+@pytest.mark.parametrize("betas", [st.just(0.0), st.floats(0.0, 1 / 3, exclude_min=True),
+                                   st.floats(1 / 3, 0.5, exclude_min=True),
+                                   st.floats(0.5, 0.6, exclude_min=True)],
+                         ids=["beta=0", "beta<=1/3", "beta<=1/2", "beta>1/2"])
+def test_quartic_classify_matches_the_inverse_transform(betas):
+    # alpha is drawn about 4 beta, where the region of each range lies
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(beta=betas, offset=st.floats(-1.5, 1.5))
+    def check(beta, offset):
+        alpha = 4.0 * beta + offset
+        cf, strict = _quartic_oracle(alpha, beta)
+        # the classifier rounds its region's edges; off them it must agree
+        assume(abs(cf) > 1e-9 and abs(strict) > 1e-9)
+        res = quartic_classify(alpha, beta)
+        assert res["is_characteristic_function"] == (cf > 0), (alpha, beta)
+        assert res["is_strictly_subgaussian"] == (cf > 0 and strict > 0), (alpha, beta)
+    check()
+
+
+@pytest.mark.parametrize("alpha, beta, is_cf", [
+    (1.0, 0.4, False), (1.6, 0.4, True), (2.2, 0.4, False),
+    # at beta = 1/2 only alpha = 2 qualifies: g(u) = (u - 1)^2 / 2
+    (1.9, 0.5, False), (2.0, 0.5, True), (2.1, 0.5, False)])
+def test_quartic_classify_between_a_third_and_a_half(alpha, beta, is_cf):
+    cf, strict = _quartic_oracle(alpha, beta)
+    res = quartic_classify(alpha, beta)
+    assert res["is_characteristic_function"] == (cf >= 0) == is_cf
+    assert res["is_strictly_subgaussian"] == (is_cf and strict >= 0) == is_cf
 
 
 def test_quartic_zeros_are_roots():
