@@ -143,7 +143,9 @@ def renyi_tsallis(p: GridDensity, q: GridDensity, alpha: float):
     """Renyi divergence D_alpha and Tsallis distance T_alpha of p from q.
 
     Returns a pair of DivergenceResult.  D = log(I)/(alpha-1) and
-    T = (I-1)/(alpha-1) with I = int (p/q)^alpha q.  The order-free part
+    T = (I-1)/(alpha-1) with I = int (p/q)^alpha q; when no cell charges
+    both p and q, I = 0 for alpha < 1, so D = +inf and T = 1/(1-alpha),
+    each with bound 0.  The order-free part
     of the integrand (the cells where p > 0 and q > 0, whether p charges
     a q-null cell, and log p and log q on the cells) is built once per
     (p, q) pair and reused by every later order on the same pair, so an
@@ -152,10 +154,13 @@ def renyi_tsallis(p: GridDensity, q: GridDensity, alpha: float):
     _finite_order(alpha)
     if alpha <= 0 or alpha == 1.0:
         raise ValueError("alpha must be positive and different from 1")
-    g = _power_ratio(_pair_support(p, q), alpha)
+    s = _pair_support(p, q)
+    g = _power_ratio(s, alpha)
     if g is None:
         res = DivergenceResult(math.inf, math.inf)
         return res, res
+    if alpha < 1 and not s.log_w.size:
+        return DivergenceResult(math.inf, 0.0), DivergenceResult(1.0 / (1.0 - alpha), 0.0)
     integral = float(p.step * g.sum())
     tail = _tail_estimate(g, p.step)
     inv = 1.0 / (alpha - 1.0)
@@ -186,14 +191,20 @@ def tv_hellinger(p: GridDensity, q: GridDensity):
 def pearson_vajda_result(p: GridDensity, q: GridDensity, alpha: float) -> DivergenceResult:
     """chi_alpha with the geometric tail estimate of its integrand
     |p - q|^alpha q^(1-alpha) beyond the window; inf with bound inf
-    where the integrand is not resolved."""
+    where the integrand is not resolved.  Where q = 0 the integrand is
+    +inf for alpha > 1 and, with 0^0 = 1, p for alpha = 1 (the q-null
+    part f'(inf) P(q = 0) of the f-divergence with f(t) = |t - 1|)."""
     _finite_order(alpha)
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
     _same_grid(p, q)
-    g = _power_ratio(_support(np.abs(p.values - q.values), q.values), alpha)
+    w = np.abs(p.values - q.values)
+    s = _support(w, q.values)
+    g = _power_ratio(s, alpha)
     if g is None:
         return DivergenceResult(math.inf, math.inf)
+    if s.q_null:  # alpha = 1, as alpha > 1 gave None
+        g = np.where(q.values == 0.0, w, g)
     return DivergenceResult(float(p.step * g.sum()), _tail_estimate(g, p.step))
 
 

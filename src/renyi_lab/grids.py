@@ -230,11 +230,9 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Same transform length and arithmetic as scipy.signal.fftconvolve
     (numpy >= 2 runs the same C++ pocketfft, and pads inside the
-    transform instead of copying the input); a square (b is a)
-    transforms once, as `_fftsquare` does.
+    transform instead of copying the input).  The chain squares by
+    `_fftsquare`, which transforms once.
     """
-    if b is a:
-        return _fftsquare([a])
     size = len(a) + len(b) - 1
     nfft = _good_size(size)
     fa = np.fft.rfft(a, nfft)

@@ -120,39 +120,35 @@ def normal_moments(p, K: int = 40) -> NormalMomentVector:
     """
     if K < 0:
         raise ValueError(f"K must be a non-negative order, not {K}")
-    if isinstance(p, AnalyticModel):
-        if p.density is None:
-            raise ValueError(f"model {p.name!r} has no density")
-        if p.support_radius is not None:
-            r = float(p.support_radius)
-            nodes, wts = np.polynomial.legendre.leggauss(max(64, 2 * min(K, _LEGENDRE_MAX_K)))
-            x = r * nodes
-            wd = wts * np.asarray(p.density(x), dtype=float)
-            total = float(r * np.sum(wd))
-            cs = [1.0 / total]
-            with np.errstate(over="ignore", invalid="ignore"):
-                for k, hk in enumerate(_hermite_seq(K, x), start=1):
-                    cs.append(_finite_moment(k, float(r * np.sum(wd * hk)) / total))
-            return NormalMomentVector(tuple(cs))
-    # the compact-support quadrature above builds no grid
-    from .grids import GridConfig, GridDensity
-    if isinstance(p, AnalyticModel):
-        cfg = GridConfig(*_MOMENT_GRID)
-        vals = np.maximum(np.asarray(p.density(cfg.x), dtype=float), 0.0)
-        p = GridDensity(-cfg.half_width, cfg.step, vals / (cfg.step * vals.sum()))
-    if not isinstance(p, GridDensity):
-        raise TypeError("expected a GridDensity or AnalyticModel")
-    x, v = p.x, p.values
-    w = p.step * v
-    probe = slice(None, None, max(1, len(v) // _PROBES))
-    cs = [1.0]
+    if isinstance(p, AnalyticModel) and p.density is None:
+        raise ValueError(f"model {p.name!r} has no density")
+    if isinstance(p, AnalyticModel) and p.support_radius is not None:
+        r = float(p.support_radius)
+        nodes, wts = np.polynomial.legendre.leggauss(max(64, 2 * min(K, _LEGENDRE_MAX_K)))
+        x = r * nodes
+        w = wts * np.asarray(p.density(x), dtype=float)
+        total = float(r * np.sum(w))
+        v = probe = None
+    else:
+        from .grids import GridConfig, GridDensity
+        if isinstance(p, AnalyticModel):
+            cfg = GridConfig(*_MOMENT_GRID)
+            vals = np.maximum(np.asarray(p.density(cfg.x), dtype=float), 0.0)
+            p = GridDensity(-cfg.half_width, cfg.step, vals / (cfg.step * vals.sum()))
+        if not isinstance(p, GridDensity):
+            raise TypeError("expected a GridDensity or AnalyticModel")
+        x, v = p.x, p.values
+        w = p.step * v
+        r = total = 1.0  # exact: c_k = sum(w H_k) to the bit
+        probe = slice(None, None, max(1, len(v) // _PROBES))
+    cs = [1.0 / total]
     # H_k overflows at large k; the first non-finite c_k raises below
     with np.errstate(over="ignore", invalid="ignore"):
         for k, hk in enumerate(_hermite_seq(K, x), start=1):
-            if not _decayed(hk, v, probe):
+            if probe is not None and not _decayed(hk, v, probe):
                 raise TailDominanceError(
                     f"H_{k} p not decayed at the window edge; moments unreliable")
-            cs.append(_finite_moment(k, float(np.sum(w * hk))))
+            cs.append(_finite_moment(k, float(r * np.sum(w * hk)) / total))
     return NormalMomentVector(tuple(cs))
 
 

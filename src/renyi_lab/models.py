@@ -371,14 +371,9 @@ class TrigPolynomial:
         return abs(self.a0) + sum(map(abs, self.a)) + sum(map(abs, self.b))
 
     @property
-    def harmonics(self) -> list:
-        """The k with a nonzero a_k or b_k, increasing."""
-        return sorted({k for c in (self.a, self.b) for k, ck in enumerate(c, 1) if ck})
-
-    @property
     def period(self):
-        """2 pi / gcd of the harmonics; None for a constant."""
-        active = self.harmonics
+        """2 pi / gcd of the k with a nonzero a_k or b_k; None for a constant."""
+        active = {k for c in (self.a, self.b) for k, ck in enumerate(c, 1) if ck}
         return 2.0 * math.pi / math.gcd(*active) if active else None
 
     def check_moments(self) -> None:

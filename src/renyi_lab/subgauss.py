@@ -57,11 +57,6 @@ class LogLaplaceProfile:
     trig: Optional[tuple] = None     # (a0, a, b, c) of the periodic component
     cumulants: Optional[tuple] = None
 
-    @property
-    def period(self) -> Optional[float]:
-        """The period of the trigonometric component; None without one."""
-        return TrigPolynomial(*self.trig[:3]).period if self.trig is not None else None
-
     def K2(self, t):
         """K'' as the central difference `_fd_second` of K."""
         return _fd_second(self.K, np.asarray(t, dtype=float))
@@ -200,9 +195,9 @@ def strict_subgauss_check(prof: LogLaplaceProfile) -> CheckReport:
                 verdict = INCONCLUSIVE
         order = np.argsort(margin)
         witnesses = [(float(t[i]), float(margin[i])) for i in order[:5] if bad[i]]
-    elif prof.period:
+    elif prof.trig is not None:
         poly = TrigPolynomial(*prof.trig[:3])
-        tp = np.linspace(0.0, prof.period, _PERIOD_SAMPLES)
+        tp = np.linspace(0.0, poly.period, _PERIOD_SAMPLES)
         pv = poly(tp)
         i = int(np.argmin(pv))
         if pv[i] < -_P_BAND * poly.scale:
@@ -300,12 +295,12 @@ def dinf_clt_check(prof: LogLaplaceProfile) -> CheckReport:
     if prof.tail == "constant":
         return CheckReport(HOLDS, tolerances=tolerances,
                            detail={"reason": "A identically zero"})
-    if prof.tail == "periodic" and prof.period:
+    if prof.tail == "periodic" and prof.trig is not None:
         # the zero set of A repeats with the periodic component P of psi
         # and the condition A'' = 0 there reads P'' = 0 for every
         # admissible c > 0, so judge the coefficients directly (the
         # absolute A'' tolerance is meaningless when c is tiny)
-        rep = periodic_clt_check(prof.trig[:3], prof.period)
+        rep = periodic_clt_check(prof.trig[:3])
         return CheckReport(rep.verdict, witnesses=rep.witnesses,
                            tolerances={**tolerances, **rep.tolerances},
                            zero_set=rep.zero_set,
@@ -324,19 +319,17 @@ def dinf_clt_check(prof: LogLaplaceProfile) -> CheckReport:
                                "scan_step": float(ts[1] - ts[0])})
 
 
-def periodic_clt_check(p_coeffs, h: float) -> CheckReport:
+def periodic_clt_check(p_coeffs) -> CheckReport:
     """Classify a periodic component P(t) = a0 + sum a_k cos kt + b_k sin kt.
 
     Preconditions (checked from the coefficients): P(0) = P'(0) = P''(0) = 0
-    and P >= 0 on (0, h).  Verdict "holds" with classification
+    and P >= 0 over P's period h.  Verdict "holds" with classification
     converges_with_rate (P > 0 inside), converges (all interior zeros have
     P'' = 0), or "fails" (some interior zero with P'' != 0).
     """
     poly = TrigPolynomial(*p_coeffs)
-    for k in poly.harmonics:
-        if abs(math.remainder(k * h, 2.0 * math.pi)) > 1e-9:
-            raise ValueError(f"h = {h:g} is not a period of the k = {k} harmonic")
     poly.check_moments()
+    h = poly.period
     scale = poly.scale
     ts = np.linspace(0.0, h, _PERIOD_SAMPLES)
     pv = poly(ts)

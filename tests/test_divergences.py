@@ -111,10 +111,30 @@ def test_hellinger_tsallis_half(normal_grid):
         assert 0.0 <= tv <= 2.0
 
 
+def _flat(lo, hi):
+    """The flat density on cells lo..hi-1 of a 64-cell grid on [-1, 1]."""
+    v = np.zeros(64)
+    v[lo:hi] = 32.0 / (hi - lo)
+    return GridDensity(-1.0, 2.0 / 64, v)
+
+
 def test_chi1_equals_tv(normal_grid):
     for name, p, q in smooth_zoo(normal_grid):
         tv, _ = tv_hellinger(p, q)
         assert abs(pearson_vajda(p, q, 1.0) - tv) < 1e-12, name
+    # p charges cells where q = 0: with 0^0 = 1 they add p, here mass 1/2
+    p, q = _flat(16, 32), _flat(24, 40)
+    tv, _ = tv_hellinger(p, q)
+    assert tv == 1.0
+    assert abs(pearson_vajda(p, q, 1.0) - tv) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9])
+def test_renyi_tsallis_mutually_singular(alpha):
+    # no cell charges both: I = 0, so D = +inf and T = 1/(1 - alpha), exactly
+    d, t = renyi_tsallis(_flat(16, 32), _flat(40, 56), alpha)
+    assert (d.value, d.tail_bound) == (math.inf, 0.0)
+    assert (t.value, t.tail_bound) == (1.0 / (1.0 - alpha), 0.0)
 
 
 def test_chi_alpha_root_monotone(normal_grid):

@@ -278,15 +278,16 @@ def test_numeric_profile_refuses_undecayed_density():
 
 def test_periodic_clt_check_sin4():
     a0, a = sin_power_coefficients(4)
-    rep = periodic_clt_check((a0, a, []), math.pi)
+    rep = periodic_clt_check((a0, a, []))
     assert rep.holds
     assert rep.detail["classification"] == "converges_with_rate"
+    assert rep.detail["period"] == math.pi
 
 
 def test_periodic_clt_check_counterexample():
     ce = model_of("counterexample_30_4")
     a0, a, b, _ = ce.meta["trig"]
-    rep = periodic_clt_check((a0, list(a), list(b)), math.pi)
+    rep = periodic_clt_check((a0, list(a), list(b)))
     assert rep.verdict == "fails"
     assert rep.detail["classification"] == "fails"
     ts = sorted(rep.zero_set)
@@ -298,15 +299,13 @@ def test_periodic_clt_check_counterexample():
 
 def test_periodic_clt_check_constraints():
     a0, a = sin_power_coefficients(4)
-    with pytest.raises(ValueError):
-        periodic_clt_check((a0, a, []), 1.0)          # not a period
     with pytest.raises(ConstraintError):
-        periodic_clt_check((a0 + 0.1, a, []), math.pi)  # P(0) != 0
+        periodic_clt_check((a0 + 0.1, a, []))  # P(0) != 0
     a0_2, a_2 = sin_power_coefficients(2)
     with pytest.raises(ConstraintError):
-        periodic_clt_check((a0_2, a_2, []), math.pi)  # sum k^2 a_k != 0
+        periodic_clt_check((a0_2, a_2, []))  # sum k^2 a_k != 0
     with pytest.raises(ConstraintError):
-        periodic_clt_check((0.0, [], [1.0, -0.5]), 2.0 * math.pi)  # negative
+        periodic_clt_check((0.0, [], [1.0, -0.5]))  # negative
 
 
 def test_esscher_semigroup(uniform_grid):
