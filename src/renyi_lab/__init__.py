@@ -27,12 +27,11 @@ def _api() -> dict:
                         moment_summary, normalized_sum_density,
                         pointwise_density_bound_check, sum_densities, wasserstein2)
     from .divergences import (infinite_order, kl, pearson_vajda, relative_fisher,
-                              renyi_tsallis, tv_hellinger)
+                              renyi_tsallis, truncated_tsallis, tv_hellinger)
     from .hermite import (NormalMomentVector, chi2_from_normal_moments,
                           hermite_coefficients, hermite_eval, normal_moments)
     from .edgeworth import (CumulantVector, EdgeworthPolynomial, edgeworth_density,
-                            expansion_constants, fit_leading_constant, q_polynomial,
-                            truncated_tsallis)
+                            expansion_constants, fit_leading_constant, q_polynomial)
     from .subgauss import (LogLaplaceProfile, dinf_clt_check, esscher,
                            periodic_clt_check, profile, quartic_classify,
                            separation_check, strict_subgauss_check)

@@ -168,7 +168,7 @@ def run_experiment(model, distance, n_values, grid=None, alpha=2.0) -> list:
     results = [_orders(p, gaussian_grid(p), order, distance == "chi2")[1:]
                for p in sum_densities(model, ns, grid, math.sqrt(var))]
     values = [v for v, _ in results]
-    gam = tuple(c / var ** (k / 2) for k, c in enumerate(model.cumulants or (0.0, var), 1))
+    gam = tuple(c / var ** (k / 2) for k, c in enumerate(model.cumulants, 1))
     const = expansion_constants(CumulantVector(gam))
     # T_alpha ~ (alpha/2) chi^2, and n chi^2 -> chi2_c1, or n^2 chi^2 ->
     # chi2_c2 when gamma_3 = 0; T_inf has no expansion constant
@@ -207,10 +207,7 @@ def _cmd_edgeworth(args) -> int:
     from .edgeworth import CumulantVector, q_polynomial
     if args.model:
         from .models import make_model
-        model = make_model(args.model)
-        if model.cumulants is None:
-            raise LabError(f"model {model.name!r} has no closed-form cumulants")
-        gam = CumulantVector(model.cumulants)
+        gam = CumulantVector(make_model(args.model).cumulants)
     else:
         gam = CumulantVector(tuple(args.gammas))
     rows = []

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OscillationError
-from .grids import GridDensity
+from .grids import GridDensity, gaussian_grid
 from .reports import DivergenceResult
 
 _HUGE = 1e290
@@ -25,13 +25,6 @@ _Q_FLOOR = 1e-300    # reference values at or below it count as q-null in `infin
 _DECAY_REL = 1e-10
 # the GridDensity attribute where renyi_tsallis keeps a pair's support
 _PAIR_SLOT = "_power_ratio_support"
-
-
-def _window_radius(p: GridDensity) -> float:
-    # |x| at the first and last sample, the same float operations as p.x
-    first = p.origin + p.step * 0.5
-    last = p.origin + p.step * ((p.n - 1) + 0.5)
-    return float(max(abs(first), abs(last)))
 
 
 def _same_grid(p: GridDensity, q: GridDensity) -> None:
@@ -61,18 +54,18 @@ def _tail_estimate(g: np.ndarray, step: float) -> float:
 class _Support(NamedTuple):
     """The order-free part of the power-ratio integrand of w against q."""
     size: int             # length of the window
-    # where w > 0 and q > 0 (and `keep`); a slice a:b when they are one run
+    # where w > 0 and q > 0; a slice a:b when they are one run
     cells: np.ndarray | slice
     q_null: bool          # w charges a cell where q == 0
     log_w: np.ndarray     # log w on `cells`
     log_q: np.ndarray     # log q on `cells`
 
 
-def _support(w, q, keep=None, logs=None) -> _Support:
+def _support(w, q, logs=None) -> _Support:
     """The cells, q-null flag and logs that `_power_ratio` needs for every
     order.  `logs`, when given, holds log w and log q over the whole
     window, which are then indexed instead of taken afresh."""
-    pos = w > 0.0 if keep is None else keep & (w > 0.0)
+    pos = w > 0.0
     cells = np.flatnonzero(pos & (q > 0.0))
     if len(cells) and cells[-1] - cells[0] == len(cells) - 1:
         cells = slice(int(cells[0]), int(cells[-1]) + 1)
@@ -170,6 +163,24 @@ def renyi_tsallis(p: GridDensity, q: GridDensity, alpha: float):
     return d, t
 
 
+def truncated_tsallis(p_n: GridDensity, alpha: float, s: int, n: int) -> float:
+    """I_alpha(M) = int_{|x| <= M} (p_n/phi)^alpha phi - 1 with
+    M = sqrt(2 (s-1) log n), the truncation window of the expansion;
+    +inf when the integrand fails the gates of the full-window integrals.
+    """
+    if s < 2 or n < 2:
+        raise ValueError("need s >= 2 and n >= 2")
+    m_cut = math.sqrt(2.0 * (s - 1) * math.log(n))
+    x = p_n.x
+    if max(abs(x[0]), abs(x[-1])) < m_cut:
+        raise ValueError(f"grid too narrow: needs |x| up to {m_cut:.3g}")
+    w = np.where(np.abs(x) <= m_cut, p_n.values, 0.0)
+    g = _power_ratio(_support(w, gaussian_grid(p_n).values), alpha)
+    if g is None:
+        return math.inf
+    return float(p_n.step * g.sum() - 1.0)
+
+
 def kl(p: GridDensity, q: GridDensity) -> float:
     """Relative entropy int p log(p/q); +inf if p charges a q-null region.
     The cells and logs are the pair's support, which a later order scan
@@ -228,8 +239,7 @@ def infinite_order(p: GridDensity, q: GridDensity):
     sup = float(np.max(p.values[m] / q.values[m]))
     if np.any(p.values[~m] > 0.0):
         return math.inf, math.inf
-    sup = max(sup, 0.0)
-    if sup == 0.0:
+    if sup == 0.0:  # p has mass, but p/q underflows in every cell
         return -math.inf, -1.0
     return math.log(sup), sup - 1.0
 

@@ -137,6 +137,8 @@ class GridDensity:
             raise ValueError("step must be positive")
         if not np.all(v >= 0):  # NaN fails too
             raise ValueError("density values must be nonnegative")
+        if not v.any():
+            raise ValueError("density values must not all be zero")
 
     @property
     def n(self) -> int:

@@ -63,11 +63,6 @@ def _finite_moment(k: int, v: float) -> float:
     return v
 
 
-def _require_finite(cs) -> None:
-    for k, v in enumerate(cs):
-        _finite_moment(k, v)
-
-
 @lru_cache(maxsize=None)
 def hermite_coefficients(k: int) -> tuple:
     """Monomial coefficients of H_k, degree 0..k, exact integers."""
@@ -181,7 +176,8 @@ def chi2_from_normal_moments(c: NormalMomentVector, t: float = 1.0) -> Divergenc
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    _require_finite(c.values)
+    for k, v in enumerate(c.values):
+        _finite_moment(k, v)
     terms = []
     for k in range(1, len(c)):
         ck = c[k]

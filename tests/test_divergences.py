@@ -13,8 +13,7 @@ from renyi_lab import (GridDensity, OscillationError, gaussian_grid, gaussian_sm
                        renyi_tsallis, truncated_tsallis, tv_hellinger,
                        wasserstein2)
 from renyi_lab.divergences import (_PAIR_SLOT, _pair_support, _power_ratio,
-                                   _tail_estimate, _window_radius,
-                                   pearson_vajda_result)
+                                   _tail_estimate, pearson_vajda_result)
 from conftest import SKEWED, model_of, pn_of, same_bits
 
 ALPHAS = (0.5, 1.5, 2.0, 3.0)
@@ -96,11 +95,16 @@ def test_infinite_order_degenerate_pairs(uniform_grid, normal_grid):
     # p charges cells where the narrow normal underflows below the floor
     assert infinite_order(uniform_grid, gaussian_grid(uniform_grid, var=1e-3)) == (
         math.inf, math.inf)
-    zero = GridDensity(uniform_grid.origin, uniform_grid.step, np.zeros(uniform_grid.n))
+    null = GridDensity(uniform_grid.origin, uniform_grid.step, np.full(uniform_grid.n, 1e-310))
     with pytest.raises(ValueError, match="reference density vanishes on the whole window"):
-        infinite_order(uniform_grid, zero)
-    # sup p/q = 0: D_inf = log 0 and T_inf = -1
-    assert infinite_order(zero, normal_grid) == (-math.inf, -1.0)
+        infinite_order(uniform_grid, null)
+    # p/q underflows to 0 in every cell: D_inf = log 0 and T_inf = -1
+    narrow = gaussian_grid(normal_grid, var=1e-3)
+    tiny = np.zeros(normal_grid.n)
+    tiny[normal_grid.n // 2] = 5e-324
+    assert narrow.values[normal_grid.n // 2] > 1.0
+    assert infinite_order(GridDensity(normal_grid.origin, normal_grid.step, tiny),
+                          narrow) == (-math.inf, -1.0)
 
 
 def test_hellinger_tsallis_half(normal_grid):
@@ -244,14 +248,6 @@ def test_infinite_sentinels(normal_grid):
     assert math.isinf(pearson_vajda(p, q, 2.0))
     d, t = renyi_tsallis(p, q, 2.0)
     assert math.isinf(d.value) and math.isinf(t.value)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.floats(-1e3, 1e3), st.floats(1e-6, 10.0), st.integers(1, 5000))
-def test_window_radius_matches_grid_ends(origin, step, n):
-    p = GridDensity(origin, step, np.ones(n))
-    # computed without building p.x, bit-identical to its end samples
-    assert _window_radius(p) == float(max(abs(p.x[0]), abs(p.x[-1])))
 
 
 def _gate_case(normal_grid, case):
@@ -471,3 +467,5 @@ def test_truncated_tsallis_ignores_q_null_outside_window():
     window = np.abs(p.x) <= math.sqrt(2.0 * 3 * math.log(16))
     ref = p.step * np.sum(p.values[window] ** 2 / q.values[window]) - 1.0
     assert truncated_tsallis(p, 2.0, 4, 16) == pytest.approx(ref, rel=1e-12)
+    # M = sqrt(2 * 99 * log 2000) = 38.79 reaches cells where q underflows
+    assert math.isinf(truncated_tsallis(p, 2.0, 100, 2000))

@@ -342,6 +342,12 @@ def test_minimize_bounded_matches_scipy_on_trig_components():
                          (lambda t: float(0.5 * t * t - K(t)), lo, hi, 1e-11)]
         for args in searches:
             assert same_bits(minimize_bounded(*args), _scipy_bounded(*args))
+    # xatol = 0 never converges: the search stops at scipy's 500 evaluations
+    calls = []
+    square = lambda x: calls.append(x) or x * x
+    assert same_bits(minimize_bounded(square, -1.0, 1.0, 0.0),
+                     _scipy_bounded(lambda x: x * x, -1.0, 1.0, 0.0))
+    assert len(calls) == 500
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -51,6 +51,8 @@ REFUSALS = [
      ValueError, "step must be positive"),
     ("GridDensity step < 0", lambda: GridDensity(0.0, -0.1, np.ones(4)),
      ValueError, "step must be positive"),
+    ("GridDensity without mass", lambda: GridDensity(0.0, 0.1, np.zeros(4)),
+     ValueError, "must not all be zero"),
     ("discretize without density or CDF", lambda: discretize(_BARE, GridConfig()),
      ValueError, "'bare' has no density"),
     ("discretize negative samples", lambda: discretize(_NEGATIVE, GridConfig()),
@@ -92,7 +94,8 @@ REFUSALS = [
     ("check_moments sum k b_k", lambda: TrigPolynomial(0.0, (), (1.0,)).check_moments(),
      ConstraintError, "sum k b_k != 0"),
     # subgauss
-    ("esscher without tilted mass", lambda: esscher(GridDensity(0.0, 0.1, np.zeros(8)), 0.5),
+    # one unit cell at x = 0.75, where e^(hx) underflows
+    ("esscher without tilted mass", lambda: esscher(GridDensity(0.0, 0.1, np.eye(8)[7]), -1e4),
      ValueError, "tilted density has no mass"),
     ("quartic_classify beta < 0", lambda: quartic_classify(0.5, -1.0),
      ValueError, "beta must be nonnegative"),
